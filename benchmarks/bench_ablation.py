@@ -138,25 +138,25 @@ def test_ablation_adaptive_vs_fixed_chunks(
 
 
 def test_ablation_vectorized_phase1(benchmark, results_dir, mid_graph, mid_sim):
-    """Pure-Python Algorithm 1 vs the scipy.sparse vectorized fast path."""
-    from repro.fast.similarity import fast_similarity_map
+    """Pure-Python Algorithm 1 vs the columnar numpy Phase I of the run path."""
+    from repro.fast.similarity import fast_similarity_columns
 
-    fast, t_fast = time_call(fast_similarity_map, mid_graph)
+    fast, t_fast = time_call(fast_similarity_columns, mid_graph)
     _, t_ref = time_call(compute_similarity_map, mid_graph)
     assert fast.k1 == mid_sim.k1 and fast.k2 == mid_sim.k2
 
     table = ResultTable(
-        "Ablation: pure-Python vs vectorized (scipy.sparse) Phase I",
+        "Ablation: pure-Python vs columnar (numpy) Phase I",
         ["variant", "seconds", "k1", "k2"],
     )
     table.add_row(variant="pure_python", seconds=round(t_ref.mean, 5),
                   k1=mid_sim.k1, k2=mid_sim.k2)
-    table.add_row(variant="vectorized", seconds=round(t_fast.mean, 5),
+    table.add_row(variant="columnar", seconds=round(t_fast.mean, 5),
                   k1=fast.k1, k2=fast.k2)
     save_json(table, results_dir / "ablation_vectorized.json")
     table.show()
 
-    benchmark.pedantic(fast_similarity_map, args=(mid_graph,), rounds=3, iterations=1)
+    benchmark.pedantic(fast_similarity_columns, args=(mid_graph,), rounds=3, iterations=1)
 
 
 def test_ablation_incremental_density_scan(benchmark, results_dir, mid_graph, mid_sim):

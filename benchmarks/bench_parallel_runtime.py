@@ -11,7 +11,7 @@ Writes ``benchmarks/results/parallel_runtime.json``.
 
 from __future__ import annotations
 
-from repro.bench.parallel_runtime import runtime_spawn_comparison
+from repro.bench.parallel_runtime import load_chunk_workload, runtime_spawn_comparison
 from repro.bench.runner import save_json
 from repro.bench.workloads import DEFAULT_CHUNK_WORKLOAD, make_chunk_workload
 from repro.cluster.unionfind import ChainArray
@@ -44,8 +44,8 @@ def test_persistent_runtime_speedup(benchmark, results_dir):
     def run_persistent():
         with get_sweep_runtime("process", 2) as runtime:
             chain = ChainArray(_WORKLOAD["n"])
-            for pairs in chunks:
-                chain = runtime.chunk_merge(chain, pairs)
+            for lo, hi in load_chunk_workload(runtime, chunks):
+                chain = runtime.chunk_merge_range(chain, lo, hi)
             return chain
 
     benchmark.pedantic(run_persistent, rounds=1, iterations=1)

@@ -21,12 +21,14 @@ import random
 import time
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.bench.runner import ResultTable
 from repro.cluster.unionfind import ChainArray
 from repro.errors import ParameterError
-from repro.parallel.runtime import RuntimeStats, get_sweep_runtime
+from repro.parallel.runtime import RuntimeStats, SweepRuntime, get_sweep_runtime
 
-__all__ = ["make_chunk_workload", "runtime_spawn_comparison"]
+__all__ = ["load_chunk_workload", "make_chunk_workload", "runtime_spawn_comparison"]
 
 
 def make_chunk_workload(
@@ -42,6 +44,22 @@ def make_chunk_workload(
     ]
 
 
+def load_chunk_workload(
+    runtime: SweepRuntime, chunks: Sequence[Sequence[Tuple[int, int]]]
+) -> List[Tuple[int, int]]:
+    """Load ``chunks`` into ``runtime`` as one pair-column pair.
+
+    Returns each chunk's ``[start, stop)`` range for
+    :meth:`~repro.parallel.runtime.SweepRuntime.chunk_merge_range` —
+    the same transport a coarse sweep uses.
+    """
+    flat = [pair for pairs in chunks for pair in pairs]
+    cols = np.array(flat, dtype=np.int64).reshape(len(flat), 2)
+    runtime.load_pairs(cols[:, 0], cols[:, 1])
+    bounds = np.cumsum([0] + [len(pairs) for pairs in chunks]).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _drive(
     backend: str,
     num_workers: int,
@@ -55,13 +73,14 @@ def _drive(
     start = time.perf_counter()
     if persistent:
         with get_sweep_runtime(backend, num_workers) as runtime:
-            for pairs in chunks:
-                chain = runtime.chunk_merge(chain, pairs)
+            for lo, hi in load_chunk_workload(runtime, chunks):
+                chain = runtime.chunk_merge_range(chain, lo, hi)
             stats = runtime.stats
     else:
         for pairs in chunks:
             with get_sweep_runtime(backend, num_workers) as runtime:
-                chain = runtime.chunk_merge(chain, pairs)
+                ((lo, hi),) = load_chunk_workload(runtime, [pairs])
+                chain = runtime.chunk_merge_range(chain, lo, hi)
                 single = runtime.stats
             stats.chunks += single.chunks
             stats.tasks += single.tasks

@@ -78,11 +78,9 @@ def fig5_workload(
 
 
 def small_graph_corpus() -> Dict[str, Callable[[], Graph]]:
-    """Named small-graph factories, all far below ``AUTO_COLUMNAR_MIN_K2``.
+    """Named small-graph factories (K2 below a few hundred).
 
-    Used by the auto-dispatch benchmark (where the dict pipeline must
-    keep winning) and handy anywhere a deterministic sub-millisecond
-    workload is needed.
+    Handy anywhere a deterministic sub-millisecond workload is needed.
     """
     return {
         "caveman_2x4": lambda: generators.caveman_graph(

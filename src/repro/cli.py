@@ -82,11 +82,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pairs-format",
         choices=pair_format_names(),
-        default="auto",
-        help="map M representation: dict (pure-python oracle), columnar "
-        "(numpy structure-of-arrays), mmap (out-of-core memory-mapped "
-        "store; requires --coarse), or auto (size-based dispatch, "
-        "never mmap)",
+        default="columnar",
+        help="backing of the sorted pair list L: columnar (in-memory "
+        "numpy arrays) or mmap (out-of-core memory-mapped store; "
+        "requires --coarse)",
     )
     parser.add_argument(
         "--storage-dir",
@@ -327,13 +326,10 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph, int_labels=args.int_labels)
     config = _run_config_from_args(args)
-    clustering = LinkClustering(graph, config=config)
-    try:
-        result = clustering.run()
-    finally:
-        # Closing flushes the JSON-lines file and prints the --profile
-        # summary (to stderr, so --json output stays parseable).
-        clustering.tracer.close()
+    # run() closes the config-built tracer: that completes the
+    # JSON-lines file and prints the --profile summary (to stderr, so
+    # --json output stays parseable).
+    result = LinkClustering(graph, config=config).run()
     if args.json:
         print(result.to_json(indent=2))
         return 0

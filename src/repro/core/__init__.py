@@ -16,7 +16,6 @@ from repro.core.coarse import (
     fixed_chunk_sweep,
 )
 from repro.core.config import (
-    AUTO_COLUMNAR_MIN_K2,
     BACKENDS,
     PAIR_FORMATS,
     RunConfig,
@@ -66,7 +65,6 @@ from repro.core.similarity import (
 from repro.core.sweep import SweepResult, build_edge_index, sweep
 
 __all__ = [
-    "AUTO_COLUMNAR_MIN_K2",
     "BACKENDS",
     "BackendSpec",
     "CancelToken",

@@ -271,13 +271,9 @@ class _CoarseSweeper:
             )
         if num_shards is not None and num_shards < 1:
             raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
-        if isinstance(similarity_map, SimilarityMap) and (
-            not engine_spec.accepts_dict_pairs
-            or (storage is not None and storage.kind == "mmap")
-        ):
-            # The batch/sharded kernels — and the out-of-core store —
-            # consume the flat columnar wedge stream; the dict map
-            # converts losslessly (same list-L order).
+        if isinstance(similarity_map, SimilarityMap):
+            # Every engine reads list L from a pair store built from
+            # columns; the dict map converts losslessly (same L order).
             similarity_map = SimilarityColumns.from_similarity_map(similarity_map)
         self.engine = engine
         self.engine_spec = engine_spec
@@ -291,48 +287,32 @@ class _CoarseSweeper:
         self.tracer = as_tracer(tracer)
         self.index = build_edge_index(graph, edge_order)
         self.num_edges = graph.num_edges
-        # List L: the dict path keeps the (sim, pair, commons) tuples;
-        # the columnar path builds a PairStore — the sorted columns plus
-        # the precomputed K2 merge stream, in RAM or memory-mapped under
-        # a spill directory depending on the storage settings.
-        # ``similarity_map=None`` asks the mmap store to run Phase I
-        # itself, streaming: wedges spill in center chunks and merge
-        # straight into the pair file, so no K2-sized array ever exists.
-        self.store = None
-        self.columns: Optional[SimilarityColumns] = None
-        self.pairs: Optional[
-            List[Tuple[float, Tuple[int, int], Tuple[int, ...]]]
-        ] = None
-        if similarity_map is None:
-            with self.tracer.span("phase:sort", streaming=True):
-                self.store = make_pair_store(
-                    graph,
-                    None,
-                    np.asarray(self.index, dtype=np.int64),
-                    settings=storage,
-                    tracer=self.tracer,
-                    cancel=cancel,
-                )
-            self.k1 = self.store.k1
-            self.k2 = self.store.k2
-        elif isinstance(similarity_map, SimilarityColumns):
-            self.k1 = similarity_map.k1
-            self.k2 = similarity_map.k2
-            with self.tracer.span("phase:sort", k1=self.k1):
-                self.store = make_pair_store(
-                    graph,
-                    similarity_map,
-                    np.asarray(self.index, dtype=np.int64),
-                    settings=storage,
-                    tracer=self.tracer,
-                    cancel=cancel,
-                )
-            self.columns = getattr(self.store, "columns", None)
-        else:
-            self.k1 = similarity_map.k1
-            self.k2 = similarity_map.k2
-            with self.tracer.span("phase:sort", k1=self.k1):
-                self.pairs = similarity_map.sorted_pairs()
+        # List L is a PairStore: the sorted columns plus the precomputed
+        # K2 merge stream, in RAM or memory-mapped under a spill directory
+        # depending on the storage settings.  ``similarity_map=None`` asks
+        # the mmap store to run Phase I itself, streaming: wedges spill in
+        # center chunks and merge straight into the pair file, so no
+        # K2-sized array ever exists.
+        sort_attrs = (
+            {"streaming": True}
+            if similarity_map is None
+            else {"k1": similarity_map.k1}
+        )
+        with self.tracer.span("phase:sort", **sort_attrs):
+            self.store = make_pair_store(
+                graph,
+                similarity_map,
+                np.asarray(self.index, dtype=np.int64),
+                settings=storage,
+                tracer=self.tracer,
+                cancel=cancel,
+            )
+        self.k1 = self.store.k1
+        self.k2 = self.store.k2
+        self.num_pairs = self.store.num_pairs
+        # Python-list views of an in-memory store for the chained loop,
+        # built on its first chunk (see _chained_lists).
+        self._lists: Optional[Tuple[list, list, list, list]] = None
         self.tracer.gauge("k1", self.k1)
         self.tracer.gauge("k2", self.k2)
 
@@ -347,17 +327,6 @@ class _CoarseSweeper:
             self.shard_part = ShardedPartition.build(
                 self.num_edges, num_shards or DEFAULT_SERIAL_SHARDS
             )
-
-        self.c1_arr: Optional[np.ndarray] = None
-        self.c2_arr: Optional[np.ndarray] = None
-        if self.store is not None:
-            self.c1_arr = self.store.c1
-            self.c2_arr = self.store.c2
-            self.num_pairs = self.store.num_pairs
-        else:
-            assert self.pairs is not None
-            self.counts_list = [len(commons) for _s, _p, commons in self.pairs]
-            self.num_pairs = len(self.pairs)
 
         self.chain = ChainArray(self.num_edges)
         self.builder = DendrogramBuilder(self.num_edges)
@@ -547,29 +516,35 @@ class _CoarseSweeper:
         is exhausted, honouring vertex-pair atomicity (the last pair that
         would cross the budget ends the chunk).
 
-        In columnar mode the running pair count ``xi`` always equals
-        ``offsets[p]`` (every pair is processed whole, in order, and
-        state jumps restore both together), so the walk collapses to one
-        ``searchsorted``: the chunk ends before the first pair whose
-        *end* offset crosses the budget, clamped so at least one pair is
-        taken.  This never touches more than O(log K1) offset entries —
-        important when the offsets live in a memory-mapped store.
+        The running pair count ``xi`` always equals ``offsets[p]`` (every
+        pair is processed whole, in order, and state jumps restore both
+        together), so the walk collapses to one ``searchsorted``: the
+        chunk ends before the first pair whose *end* offset crosses the
+        budget, clamped so at least one pair is taken.  This never
+        touches more than O(log K1) offset entries — important when the
+        offsets live in a memory-mapped store.
         """
         start = self.p
         budget = self.epoch_start_xi + self.delta
-        if self.store is not None:
-            j = int(np.searchsorted(self.store.offsets, budget, side="left"))
-            return range(start, min(self.num_pairs, max(start + 1, j - 1)))
-        counts = self.counts_list
-        end = start
-        xi = self.xi
-        while end < self.num_pairs:
-            count = counts[end]
-            if end > start and xi + count >= budget:
-                break
-            xi += count
-            end += 1
-        return range(start, end)
+        j = int(np.searchsorted(self.store.offsets, budget, side="left"))
+        return range(start, min(self.num_pairs, max(start + 1, j - 1)))
+
+    def _chained_lists(self) -> Tuple[list, list, list, list]:
+        """``(offsets, c1, c2, sims)`` of the in-memory store as lists.
+
+        The chained loop indexes one wedge at a time, where list
+        indexing beats ndarray scalar indexing; built on the first
+        chunk so the other engines never pay for them.
+        """
+        if self._lists is None:
+            store = self.store
+            self._lists = (
+                store.offsets.tolist(),
+                store.c1.tolist(),
+                store.c2.tolist(),
+                store.sims.tolist(),
+            )
+        return self._lists
 
     def _apply_chunk(self, chunk: range) -> None:
         """Merge every incident edge pair of the chunk's vertex pairs.
@@ -585,51 +560,27 @@ class _CoarseSweeper:
             # (_apply_chunk_batch / _apply_chunk_sharded for built-ins).
             getattr(self, self.engine_spec.chunk_applier)(chunk)
             return
-        if self.store is not None:
-            if self.store.streaming:
-                self._apply_chunk_streaming(chunk)
-                return
-            offsets = self.store.offsets_list
-            c1 = self.store.c1_list
-            c2 = self.store.c2_list
-            sims = self.store.sims_list
-            with self.tracer.span("runtime:compute", workers=1):
-                for pos in chunk:
-                    similarity = sims[pos]
-                    start, end = offsets[pos], offsets[pos + 1]
-                    for widx in range(start, end):
-                        outcome = self.chain.merge(c1[widx], c2[widx])
-                        if outcome.merged:
-                            self.pending.append(
-                                _PendingMerge(
-                                    pos,
-                                    outcome.c1,
-                                    outcome.c2,
-                                    outcome.parent,
-                                    similarity,
-                                )
-                            )
-                    self.xi += end - start
-                    self.p = pos + 1
+        if self.store.streaming:
+            self._apply_chunk_streaming(chunk)
             return
-        graph = self.graph
-        index = self.index
-        pairs = self.pairs
-        assert pairs is not None
+        offsets, c1, c2, sims = self._chained_lists()
         with self.tracer.span("runtime:compute", workers=1):
             for pos in chunk:
-                similarity, (vi, vj), commons = pairs[pos]
-                for vk in commons:
-                    i1 = index[graph.edge_id(vi, vk)]
-                    i2 = index[graph.edge_id(vj, vk)]
-                    outcome = self.chain.merge(i1, i2)
+                similarity = sims[pos]
+                start, end = offsets[pos], offsets[pos + 1]
+                for widx in range(start, end):
+                    outcome = self.chain.merge(c1[widx], c2[widx])
                     if outcome.merged:
                         self.pending.append(
                             _PendingMerge(
-                                pos, outcome.c1, outcome.c2, outcome.parent, similarity
+                                pos,
+                                outcome.c1,
+                                outcome.c2,
+                                outcome.parent,
+                                similarity,
                             )
                         )
-                self.xi += len(commons)
+                self.xi += end - start
                 self.p = pos + 1
 
     def _apply_chunk_streaming(self, chunk: range) -> None:
@@ -642,7 +593,6 @@ class _CoarseSweeper:
         K2.
         """
         store = self.store
-        assert store is not None
         chain = self.chain
         with self.tracer.span("runtime:compute", workers=1):
             pos = chunk.start
@@ -688,7 +638,6 @@ class _CoarseSweeper:
         from repro.fast.batch_sweep import batch_chunk_merge
 
         store = self.store
-        assert store is not None
         w_start = int(store.offsets[chunk.start])
         w_end = int(store.offsets[chunk.stop])
         self.xi += w_end - w_start
@@ -722,7 +671,6 @@ class _CoarseSweeper:
         from repro.parallel.sharded_sweep import sharded_components
 
         store = self.store
-        assert store is not None
         w_start = int(store.offsets[chunk.start])
         w_end = int(store.offsets[chunk.stop])
         self.xi += w_end - w_start
@@ -999,8 +947,7 @@ class _CoarseSweeper:
 
     def close_store(self) -> None:
         """Release the pair store (drops maps, removes any spill dir)."""
-        if self.store is not None:
-            self.store.close()
+        self.store.close()
 
 
 def coarse_sweep(
@@ -1020,15 +967,14 @@ def coarse_sweep(
     Parameters mirror :func:`repro.core.sweep.sweep`, with
     :class:`CoarseParams` controlling the dendrogram shape;
     ``similarity_map`` may be the dict or the columnar Phase-I output
-    (identical results — the columnar path precomputes the K2 stream
-    vectorized).  ``engine`` selects the chunk merge engine:
+    (a dict map is converted to columns once, on entry — identical
+    results).  ``engine`` selects the chunk merge engine:
     ``"chained"`` (sequential MERGE, the oracle), ``"batch"``
     (per-level vectorized connected components), or ``"sharded"``
     (owner-computes contiguous C shards — ``num_shards`` of them,
     default ``DEFAULT_SERIAL_SHARDS`` — with host boundary
     reconciliation; ``epsilon > 0`` defers reconciliation within a
-    ``(1 + epsilon)`` cluster-count bound); dict input is converted to
-    columns for both alternates.  ``tracer`` gets ``phase:sort``,
+    ``(1 + epsilon)`` cluster-count bound).  ``tracer`` gets ``phase:sort``,
     ``phase:sweep``, and per-epoch ``sweep:chunk[i]`` spans (the batch
     engine adds per-round ``sweep:batch_round`` spans and a
     ``batch_rounds`` counter; the sharded engine ``sweep:shard[s]`` /
@@ -1044,8 +990,9 @@ def coarse_sweep(
     sweep reads it through bounded windows — results are bitwise
     identical either way.  With mmap storage and no ``similarity_map``,
     Phase I runs *inside* the store init, streaming wedge chunks to
-    spilled runs so no K2-sized array is ever resident.  The store — and its spill directory — is
-    released before this returns, even on cancellation or error.
+    spilled runs so no K2-sized array is ever resident.  The store — and
+    its spill directory — is released before this returns, even on
+    cancellation or error.
     """
     # With an mmap store there is no need to materialize Phase I here:
     # the store's streaming init computes similarities chunk by chunk.

@@ -1,8 +1,8 @@
 """Consolidated run configuration for :class:`~repro.core.linkclust.LinkClustering`.
 
 :class:`RunConfig` gathers every knob a clustering run takes — backend,
-worker count, coarse-sweep parameters, edge-order seed, Phase I
-vectorization, and observability settings — into one frozen, validated,
+worker count, coarse-sweep parameters, edge-order seed, pair store,
+and observability settings — into one frozen, validated,
 serializable object.  ``LinkClustering(graph, config=cfg)`` is the
 preferred construction path; the legacy keyword arguments remain as a
 thin shim that builds a ``RunConfig`` internally.
@@ -28,7 +28,7 @@ from repro.core.registry import (
 )
 from repro.errors import ParameterError
 
-__all__ = ["RunConfig", "BACKENDS", "ENGINES", "PAIR_FORMATS", "AUTO_COLUMNAR_MIN_K2"]
+__all__ = ["RunConfig", "BACKENDS", "ENGINES", "PAIR_FORMATS"]
 
 # Name tuples snapshot the capability registry (repro.core.registry) at
 # import time; the registry is the authoritative table — specs,
@@ -41,19 +41,11 @@ BACKENDS = backend_names()
 # engine (repro.fast.batch_sweep), "sharded" the owner-computes variant
 # where each worker holds only its contiguous C slice and the host
 # reconciles boundary edges per level (repro.parallel.sharded_sweep).
-# Both alternates are dendrogram-identical to chained and require the
-# columnar wedge stream plus a coarse (chunked) sweep.
+# Both alternates are dendrogram-identical to chained and require a
+# coarse (chunked) sweep.
 ENGINES = engine_names()
 
 PAIR_FORMATS = pair_format_names()
-
-# K2 threshold for pairs_format="auto": below it the pure-Python dict
-# pipeline wins (array setup cost dominates — the small-graph regression
-# ablation_vectorized.json recorded), above it the columnar kernels do.
-# benchmarks/results/columnar.json puts the measured crossover near
-# K2 ~ 500-600; 2000 stays safely past the noise floor, where both
-# paths are still sub-millisecond.
-AUTO_COLUMNAR_MIN_K2 = 2_000
 
 
 @dataclass(frozen=True)
@@ -72,22 +64,14 @@ class RunConfig:
         ``False`` are accepted and coerced (``True`` → default params).
     seed:
         Optional seed for random edge-order permutation.
-    vectorized:
-        Use the scipy.sparse fast path for Phase I.
     pairs_format:
-        Representation of map ``M`` through the run: ``"dict"`` (the
-        pure-Python :class:`~repro.core.similarity.SimilarityMap`
-        oracle), ``"columnar"``
-        (:class:`~repro.core.simcolumns.SimilarityColumns`, flat numpy
-        arrays — vectorized init/sort and zero-copy shm transport),
-        ``"mmap"`` (the out-of-core pair store,
-        :mod:`repro.core.storage`: list L lives in one memory-mapped
-        file under a run-scoped spill directory and the sweep reads
-        bounded windows; requires a coarse sweep), or ``"auto"``
-        (default: columnar when the estimated K2 reaches
-        ``AUTO_COLUMNAR_MIN_K2``, dict below — never slower than
-        pure-Python on small graphs; never resolves to ``"mmap"``,
-        which must be asked for explicitly).
+        Backing of list ``L`` through the run: ``"columnar"``
+        (default — :class:`~repro.core.simcolumns.SimilarityColumns`
+        sorted into an in-memory pair store: flat numpy arrays with
+        zero-copy shm transport) or ``"mmap"`` (the out-of-core pair
+        store, :mod:`repro.core.storage`: list L lives in one
+        memory-mapped file under a run-scoped spill directory and the
+        sweep reads bounded windows; requires a coarse sweep).
     engine:
         Sweep merge engine: ``"chained"`` (default — the paper's
         sequential MERGE chain, the tested oracle), ``"batch"``
@@ -96,9 +80,7 @@ class RunConfig:
         (owner-computes contiguous C shards with host boundary
         reconciliation, :mod:`repro.parallel.sharded_sweep`).  Both
         alternates are dendrogram-identical to chained and require a
-        coarse sweep plus the columnar pair format
-        (``pairs_format="dict"`` is rejected; ``"auto"`` resolves to
-        columnar).
+        coarse sweep.
     epsilon:
         Boundary-reconciliation slack for the sharded engine (TeraHAC-
         style).  ``0.0`` (default) reconciles every level exactly;
@@ -131,8 +113,7 @@ class RunConfig:
     num_workers: int = 1
     coarse: Optional[CoarseParams] = None
     seed: Optional[int] = None
-    vectorized: bool = False
-    pairs_format: str = "auto"
+    pairs_format: str = "columnar"
     engine: str = "chained"
     epsilon: float = 0.0
     storage_dir: Optional[str] = None
@@ -151,16 +132,18 @@ class RunConfig:
             raise ParameterError(
                 f"coarse must be None, a bool, or CoarseParams, got {self.coarse!r}"
             )
-        if self.seed is not None and not isinstance(self.seed, int):
+        # bool is an int subclass; True is never a meaningful seed.
+        if self.seed is not None and (
+            isinstance(self.seed, bool) or not isinstance(self.seed, int)
+        ):
             raise ParameterError(f"seed must be None or an int, got {self.seed!r}")
         if not isinstance(self.epsilon, (int, float)) or isinstance(
             self.epsilon, bool
         ):
             raise ParameterError(
-                f"epsilon must be a float >= 0, got {self.epsilon!r}"
+                f"epsilon must be a finite float >= 0, got {self.epsilon!r}"
             )
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "vectorized", bool(self.vectorized))
         object.__setattr__(self, "profile", bool(self.profile))
         if self.storage_dir is not None:
             object.__setattr__(self, "storage_dir", str(self.storage_dir))
@@ -199,7 +182,6 @@ class RunConfig:
             "num_workers": self.num_workers,
             "coarse": dataclasses.asdict(self.coarse) if self.coarse else None,
             "seed": self.seed,
-            "vectorized": self.vectorized,
             "pairs_format": self.pairs_format,
             "engine": self.engine,
             "epsilon": self.epsilon,

@@ -37,9 +37,9 @@ from repro.cluster.partition import EdgePartition, node_communities
 from repro.cluster.unionfind import ChainArray
 from repro.core.cancel import CancelToken
 from repro.core.coarse import CoarseParams, CoarseResult, coarse_sweep
-from repro.core.config import AUTO_COLUMNAR_MIN_K2, BACKENDS, RunConfig
+from repro.core.config import BACKENDS, RunConfig
 from repro.core.simcolumns import SimilarityColumns
-from repro.core.similarity import SimilarityMap, compute_similarity_map
+from repro.core.similarity import SimilarityMap
 from repro.core.storage import StorageSettings
 from repro.core.sweep import SweepResult, sweep
 from repro.errors import ParameterError
@@ -57,8 +57,9 @@ __all__ = [
 #: (:meth:`LinkClusteringResult.to_dict` / :class:`ResultSummary`).
 #: History: 1 — original summary dict under the key ``"schema"``;
 #: 2 — key renamed to ``"schema_version"``, round-trip
-#: :meth:`ResultSummary.from_dict` added (fields otherwise unchanged).
-RESULT_SCHEMA_VERSION = 2
+#: :meth:`ResultSummary.from_dict` added (fields otherwise unchanged);
+#: 3 — the ``config`` dict drops ``vectorized`` (the option was removed).
+RESULT_SCHEMA_VERSION = 3
 
 # Sentinel distinguishing "not passed" from explicit None/False.
 _UNSET: Any = object()
@@ -224,7 +225,7 @@ class LinkClusteringResult:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """Stable summary dict (``schema_version`` 2); see
+        """Stable summary dict (``schema_version`` 3); see
         :class:`ResultSummary` for the round-trip reader."""
         return self.summary().to_dict()
 
@@ -278,19 +279,17 @@ class LinkClustering:
         When given, edge ids are randomly permuted with this seed (the
         paper enumerates edges in random order); ``None`` keeps insertion
         order.
-    vectorized:
-        Use the scipy.sparse fast path for Phase I
-        (:func:`repro.fast.fast_similarity_map`); identical output,
-        faster on large dense graphs.
     pairs_format:
-        ``"dict"``, ``"columnar"``, ``"mmap"``, or ``"auto"``
-        (default) — representation of map ``M`` through the run; see
-        :class:`RunConfig`.  ``auto`` picks columnar when the estimated
-        K2 reaches ``AUTO_COLUMNAR_MIN_K2`` and never picks ``mmap``
-        (the out-of-core store must be requested explicitly).
+        ``"columnar"`` (default) or ``"mmap"`` — the backing of list
+        ``L`` through the run; see :class:`RunConfig`.
     tracer:
         Optional :class:`repro.obs.Tracer` overriding the one the config
-        would build (``config.profile`` / ``config.metrics_out``).
+        would build (``config.profile`` / ``config.metrics_out``).  The
+        caller owns it: :meth:`run` flushes it but never closes it.  A
+        tracer built from the config belongs to one :meth:`run` and is
+        closed when that run returns (which prints the ``profile``
+        summary and completes the ``metrics_out`` file); the next run
+        builds a fresh one.
     cancel:
         Optional :class:`~repro.core.cancel.CancelToken`; when another
         thread triggers it, the run raises
@@ -317,7 +316,6 @@ class LinkClustering:
         backend: Any = _UNSET,
         num_workers: Any = _UNSET,
         seed: Any = _UNSET,
-        vectorized: Any = _UNSET,
         pairs_format: Any = _UNSET,
         tracer: Optional[Tracer] = None,
         cancel: Optional[CancelToken] = None,
@@ -329,7 +327,6 @@ class LinkClustering:
             ("backend", backend),
             ("num_workers", num_workers),
             ("seed", seed),
-            ("vectorized", vectorized),
             ("pairs_format", pairs_format),
         ):
             if value is not _UNSET:
@@ -350,6 +347,8 @@ class LinkClustering:
             self.config = RunConfig(**settings)
 
         self.graph = graph
+        self._owns_tracer = tracer is None
+        self._tracer_closed = False
         self.tracer = as_tracer(tracer) if tracer is not None else self.config.make_tracer()
         self.cancel = cancel
         if runtime is not None:
@@ -389,10 +388,6 @@ class LinkClustering:
         return self.config.seed
 
     @property
-    def vectorized(self) -> bool:
-        return self.config.vectorized
-
-    @property
     def coarse_params(self) -> Optional[CoarseParams]:
         return self.config.coarse
 
@@ -401,36 +396,17 @@ class LinkClustering:
         return self.config.pairs_format
 
     # ------------------------------------------------------------------
-    def resolved_pairs_format(self) -> str:
-        """The concrete format this run will use (``auto`` resolved).
+    def _live_tracer(self) -> Tracer:
+        """The tracer to emit into; replaces a config-built one that a
+        finished :meth:`run` already closed."""
+        if self._tracer_closed:
+            self.tracer = self.config.make_tracer()
+            self._tracer_closed = False
+        return self.tracer
 
-        ``auto`` estimates K2 from the degree sequence alone —
-        ``sum(d * (d - 1)) / 2`` — and picks columnar at
-        ``AUTO_COLUMNAR_MIN_K2``; below it the pure-Python dict pipeline
-        has less fixed overhead.  The batch and sharded engines consume
-        the columnar wedge stream, so either forces ``auto`` to columnar
-        regardless of size.  ``auto`` never resolves to ``"mmap"`` —
-        the out-of-core store must be requested explicitly.
-        """
-        if self.pairs_format != "auto":
-            return self.pairs_format
-        if self.config.engine in ("batch", "sharded"):
-            return "columnar"
-        k2_estimate = sum(d * (d - 1) for d in self.graph.degrees()) // 2
-        return "columnar" if k2_estimate >= AUTO_COLUMNAR_MIN_K2 else "dict"
-
-    def compute_similarities(self) -> Union[SimilarityMap, SimilarityColumns]:
+    def compute_similarities(self) -> SimilarityColumns:
         """Phase I only (useful for reuse across sweeps)."""
-        with self.tracer.span(
-            "phase:init", backend=self.backend, vectorized=self.vectorized
-        ):
-            return self._compute_similarities()
-
-    def _compute_similarities(self) -> Union[SimilarityMap, SimilarityColumns]:
-        # Parallel mmap runs build the store from the columnar Phase-I
-        # output, so they share the columnar init path.  (Serial mmap
-        # runs never reach here: Phase I streams inside the store init.)
-        if self.resolved_pairs_format() in ("columnar", "mmap"):
+        with self._live_tracer().span("phase:init", backend=self.backend):
             if self.backend == "serial" or self.num_workers == 1:
                 from repro.fast.similarity import fast_similarity_columns
 
@@ -446,23 +422,6 @@ class LinkClustering:
                 backend=init_backend,
                 tracer=self.tracer,
             )
-        if self.vectorized:
-            from repro.fast.similarity import fast_similarity_map
-
-            return fast_similarity_map(self.graph)
-        if self.backend == "serial" or self.num_workers == 1:
-            return compute_similarity_map(self.graph, tracer=self.tracer)
-        from repro.parallel.par_init import parallel_similarity_map
-
-        # Phase I has no shared-memory variant (its output is a python
-        # dict, not a flat array); shm runs use real processes there.
-        init_backend = "process" if self.backend == "shm" else self.backend
-        return parallel_similarity_map(
-            self.graph,
-            num_workers=self.num_workers,
-            backend=init_backend,
-            tracer=self.tracer,
-        )
 
     def run(
         self,
@@ -473,37 +432,46 @@ class LinkClustering:
 
         ``similarity_map`` is keyword-only (the positional spelling was
         removed after its deprecation window); pass a precomputed
-        Phase-I output to reuse it across sweeps.
+        Phase-I output to reuse it across sweeps.  A dict
+        :class:`SimilarityMap` is converted to columns once, here.
         """
-        tracer = self.tracer
-        resolved = self.resolved_pairs_format()
+        tracer = self._live_tracer()
         span_attrs: Dict[str, Any] = dict(
             backend=self.backend,
             num_workers=self.num_workers,
             coarse=self.coarse_params is not None,
-            vectorized=self.vectorized,
             engine=self.config.engine,
-            pairs_format=resolved,
+            pairs_format=self.pairs_format,
         )
-        if resolved == "mmap":
+        if self.pairs_format == "mmap":
             span_attrs["storage_dir"] = self.config.storage_dir
             span_attrs["memory_budget_bytes"] = self.config.memory_budget_bytes
-        with tracer.span("run", **span_attrs):
-            result = self._run(similarity_map)
-            record_peak_rss(tracer)
-        tracer.flush()
+        try:
+            with tracer.span("run", **span_attrs):
+                if isinstance(similarity_map, SimilarityMap):
+                    similarity_map = SimilarityColumns.from_similarity_map(
+                        similarity_map
+                    )
+                result = self._run(similarity_map)
+                record_peak_rss(tracer)
+        finally:
+            if self._owns_tracer:
+                # Closing prints the profile summary and completes the
+                # metrics file; the library and the CLI share this path.
+                tracer.close()
+                self._tracer_closed = True
+        if not self._owns_tracer:
+            tracer.flush()
         return result
 
-    def _run(
-        self, similarity_map: Optional[Union[SimilarityMap, SimilarityColumns]]
-    ) -> LinkClusteringResult:
+    def _run(self, similarity_map: Optional[SimilarityColumns]) -> LinkClusteringResult:
         tracer = self.tracer
-        resolved = self.resolved_pairs_format()
+        fmt = self.pairs_format
         # Serial mmap runs stream Phase I inside the store init (wedge
         # chunks spill to sorted runs; no K2-sized array is ever
         # resident), so they skip the materializing init entirely.
         stream_init = (
-            resolved == "mmap"
+            fmt == "mmap"
             and similarity_map is None
             and (self.backend == "serial" or self.num_workers == 1)
         )
@@ -512,20 +480,15 @@ class LinkClustering:
             sim = self.compute_similarities()
         record_peak_rss(tracer)
         storage: Optional[StorageSettings] = None
-        if resolved == "mmap":
+        if fmt == "mmap":
             # Validation guarantees mmap runs are coarse, so the fine
             # sweep below never sees a storage spec.
-            fmt = "mmap"
             storage = StorageSettings(
                 kind="mmap",
                 storage_dir=self.config.storage_dir,
                 memory_budget_bytes=self.config.memory_budget_bytes,
             )
-        else:
-            fmt = "columnar" if isinstance(sim, SimilarityColumns) else "dict"
-        tracer.event(
-            "run:pairs_format", format=fmt, requested=self.pairs_format
-        )
+        tracer.event("run:pairs_format", format=fmt)
         if sim is not None:
             # The streaming path gauges k1/k2 from the store instead
             # (the sweeper emits them once the pair file is built).

@@ -12,12 +12,13 @@ reads the same table.
 New execution modes (a duckdb engine, a gpu backend) slot in through
 :func:`register_engine` / :func:`register_backend` without touching
 ``LinkClustering``: the spec declares what the mode needs (coarse
-sweeping, the columnar pair stream, epsilon support) and how to build
-its runtime, and validation/dispatch pick it up everywhere at once.
+sweeping, epsilon support) and how to build its runtime, and
+validation/dispatch pick it up everywhere at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
@@ -52,9 +53,7 @@ class EngineSpec:
     """One sweep merge engine and its requirements.
 
     ``requires_coarse`` — the engine only exists as a chunked (coarse)
-    sweep; ``accepts_dict_pairs`` — whether the pure-Python dict
-    pipeline can feed it (engines that consume the flat columnar wedge
-    stream set this False); ``supports_epsilon`` — whether the
+    sweep; ``supports_epsilon`` — whether the
     TeraHAC-style reconciliation slack applies; ``chunk_applier`` — the
     name of the ``_CoarseSweeper`` method that applies one chunk's merge
     stream (``None`` means the default chained MERGE path).
@@ -63,7 +62,6 @@ class EngineSpec:
     name: str
     summary: str
     requires_coarse: bool = False
-    accepts_dict_pairs: bool = True
     supports_epsilon: bool = False
     chunk_applier: Optional[str] = None
 
@@ -87,15 +85,13 @@ class BackendSpec:
 
 @dataclass(frozen=True)
 class PairFormatSpec:
-    """One representation of map M.  ``concrete`` is False for formats
-    that resolve to another at run time (``"auto"``);
-    ``requires_coarse`` marks formats only the chunked sweep can
-    consume (the out-of-core store streams bounded windows, which the
-    one-merge-per-level fine sweep cannot do)."""
+    """One backing of list L.  ``requires_coarse`` marks formats only
+    the chunked sweep can consume (the out-of-core store streams
+    bounded windows, which the one-merge-per-level fine sweep cannot
+    do)."""
 
     name: str
     summary: str
-    concrete: bool = True
     requires_coarse: bool = False
 
 
@@ -199,7 +195,6 @@ register_engine(
         name="batch",
         summary="per-level vectorized connected-components rounds",
         requires_coarse=True,
-        accepts_dict_pairs=False,
         chunk_applier="_apply_chunk_batch",
     )
 )
@@ -208,7 +203,6 @@ register_engine(
         name="sharded",
         summary="owner-computes C shards with host boundary reconciliation",
         requires_coarse=True,
-        accepts_dict_pairs=False,
         supports_epsilon=True,
         chunk_applier="_apply_chunk_sharded",
     )
@@ -246,21 +240,8 @@ register_backend(
 
 register_pair_format(
     PairFormatSpec(
-        name="dict",
-        summary="pure-Python SimilarityMap oracle",
-    )
-)
-register_pair_format(
-    PairFormatSpec(
         name="columnar",
-        summary="flat numpy SimilarityColumns (vectorized, shm-transportable)",
-    )
-)
-register_pair_format(
-    PairFormatSpec(
-        name="auto",
-        summary="columnar above the measured K2 crossover, dict below",
-        concrete=False,
+        summary="in-memory pair store over SimilarityColumns (shm-transportable)",
     )
 )
 register_pair_format(
@@ -324,7 +305,11 @@ def validate_run_settings(
             "memory_budget_bytes must be a positive int, "
             f"got {memory_budget_bytes!r}"
         )
-    if not isinstance(num_workers, int) or num_workers < 1:
+    if (
+        isinstance(num_workers, bool)
+        or not isinstance(num_workers, int)
+        or num_workers < 1
+    ):
         raise ParameterError(
             f"num_workers must be an int >= 1, got {num_workers!r}"
         )
@@ -333,17 +318,8 @@ def validate_run_settings(
             f"engine={engine!r} requires coarse sweeping "
             "(pass coarse=True or CoarseParams)"
         )
-    if not engine_spec.accepts_dict_pairs and pairs_format == "dict":
-        formats = tuple(
-            n for n in pair_format_names() if n != "dict"
-        )
-        raise ParameterError(
-            f"engine={engine!r} requires the columnar pair "
-            "format; pairs_format='dict' is not supported "
-            f"(use one of {formats})"
-        )
-    if epsilon < 0:
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon!r}")
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise ParameterError(f"epsilon must be a finite float >= 0, got {epsilon!r}")
     if epsilon > 0 and not engine_spec.supports_epsilon:
         capable = tuple(
             s.name for s in _ENGINES.values() if s.supports_epsilon

@@ -258,12 +258,7 @@ class PairStore:
 
 
 class InMemoryPairStore(PairStore):
-    """The oracle: sorted columns + wedge stream as plain arrays.
-
-    Also caches the Python-list views the chained serial engine's inner
-    loop runs over (list indexing beats ndarray scalar indexing there),
-    exactly as the sweeper did before the store abstraction existed.
-    """
+    """The oracle: sorted columns + wedge stream as plain arrays."""
 
     kind = "memory"
     streaming = False
@@ -276,7 +271,6 @@ class InMemoryPairStore(PairStore):
         tracer=None,
     ):
         tracer = as_tracer(tracer)
-        self.columns = sorted_columns
         self.k1 = sorted_columns.k1
         self.k2 = sorted_columns.k2
         self.sims = sorted_columns.sim
@@ -285,10 +279,6 @@ class InMemoryPairStore(PairStore):
         self.offsets = sorted_columns.common_offsets
         self.c1 = c1
         self.c2 = c2
-        self.c1_list: List[int] = c1.tolist()
-        self.c2_list: List[int] = c2.tolist()
-        self.offsets_list: List[int] = self.offsets.tolist()
-        self.sims_list: List[float] = self.sims.tolist()
         tracer.gauge("store_bytes", self.store_bytes)
 
     @classmethod

@@ -13,12 +13,7 @@ from repro.fast.batch_sweep import (
     batch_join_rows,
     compress_labels,
 )
-from repro.fast.similarity import (
-    adjacency_matrix,
-    fast_similarity_columns,
-    fast_similarity_map,
-)
-from repro.fast.sweep import fast_sweep, wedge_stream
+from repro.fast.similarity import adjacency_matrix, fast_similarity_columns
 
 __all__ = [
     "adjacency_matrix",
@@ -28,7 +23,4 @@ __all__ = [
     "compress_labels",
     "fast_association_graph",
     "fast_similarity_columns",
-    "fast_similarity_map",
-    "fast_sweep",
-    "wedge_stream",
 ]

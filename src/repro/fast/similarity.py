@@ -16,9 +16,8 @@ scale.  This module computes the same map columnar-natively:
 
 :func:`fast_similarity_columns` returns the result directly as a
 :class:`~repro.core.simcolumns.SimilarityColumns` (the run's native
-interchange format); :func:`fast_similarity_map` converts to the dict
-:class:`~repro.core.similarity.SimilarityMap` for callers that want the
-oracle format.  Both agree with
+interchange format; ``to_similarity_map()`` converts to the dict
+oracle).  It agrees with
 :func:`repro.core.similarity.compute_similarity_map` up to
 floating-point summation order; the test suite compares them with 1e-9
 relative tolerance on every graph family.
@@ -31,13 +30,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.similarity import SimilarityMap
 from repro.core.simcolumns import SimilarityColumns, _edge_key_table
 from repro.errors import ClusteringError
 from repro.graph.graph import Graph
 from repro.obs import as_tracer
 
-__all__ = ["adjacency_matrix", "fast_similarity_columns", "fast_similarity_map"]
+__all__ = ["adjacency_matrix", "fast_similarity_columns"]
 
 
 def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
@@ -58,40 +56,6 @@ def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
     matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     matrix.sort_indices()
     return matrix
-
-
-def _wedge_arrays(
-    adjacency: sp.csr_matrix,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All wedges as arrays ``(i, j, k)`` with ``i < j`` and centre ``k``.
-
-    One entry per incident edge pair (K2 total).  Kept for callers of
-    the historical scipy-based pipeline; the columnar path uses
-    :func:`_wedge_columns` (which also carries the weight products).
-    """
-    indptr = adjacency.indptr
-    indices = adjacency.indices
-    n = adjacency.shape[0]
-    i_parts: List[np.ndarray] = []
-    j_parts: List[np.ndarray] = []
-    k_parts: List[np.ndarray] = []
-    for k in range(n):
-        nbrs = indices[indptr[k] : indptr[k + 1]]
-        d = len(nbrs)
-        if d < 2:
-            continue
-        iu, ju = _triu_template(d)
-        i_parts.append(nbrs[iu])
-        j_parts.append(nbrs[ju])
-        k_parts.append(np.full(len(iu), k, dtype=np.int64))
-    if not i_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    return (
-        np.concatenate(i_parts),
-        np.concatenate(j_parts),
-        np.concatenate(k_parts),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -326,13 +290,3 @@ def fast_similarity_columns(graph: Graph, tracer=None) -> SimilarityColumns:
             common_offsets=offsets,
             common_neighbors=commons,
         )
-
-
-def fast_similarity_map(graph: Graph) -> SimilarityMap:
-    """Vectorized Algorithm 1: same output as ``compute_similarity_map``.
-
-    Computes :func:`fast_similarity_columns` and converts to the dict
-    format — callers that can consume columns should use the columnar
-    function directly and skip the conversion.
-    """
-    return fast_similarity_columns(graph).to_similarity_map()

@@ -191,6 +191,7 @@ class Tracer:
         self._seq = 0
         self._stack: List[str] = []
         self.counters: Dict[str, Union[int, float]] = {}
+        self._closed = False
 
     # ------------------------------------------------------------------
     # internals
@@ -274,7 +275,11 @@ class Tracer:
             sink.flush()
 
     def close(self) -> None:
-        """Flush, then close every sink (idempotent)."""
+        """Flush, then close every sink (idempotent: a second call is a
+        no-op, so it cannot reopen — and truncate — a JSON-lines file)."""
+        if self._closed:
+            return
+        self._closed = True
         self.flush()
         for sink in self._sinks:
             sink.close()

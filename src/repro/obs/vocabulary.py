@@ -66,6 +66,7 @@ SPANS: FrozenSet[str] = frozenset(
 # Point-in-time facts attached to the current span.
 EVENTS: FrozenSet[str] = frozenset(
     {
+        # One per run; attr ``format`` ("columnar" | "mmap").
         "run:pairs_format",
         "sweep:level",
         "sweep:jump",

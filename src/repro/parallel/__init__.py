@@ -18,7 +18,7 @@ from repro.parallel.runtime import (
     SweepRuntime,
     get_sweep_runtime,
 )
-from repro.parallel.shm_sweep import ShmArena, describe_exitcode, shm_chunk_merge
+from repro.parallel.shm_sweep import ShmArena, describe_exitcode
 from repro.parallel.partitioner import (
     ClassifiedPairs,
     ShardedPartition,
@@ -83,6 +83,5 @@ __all__ = [
     "parallel_similarity_map",
     "partition_range",
     "round_robin_partition",
-    "shm_chunk_merge",
     "speedup_curve",
 ]

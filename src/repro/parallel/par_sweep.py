@@ -25,7 +25,7 @@ construction).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.cancel import CancelToken
 from repro.core.coarse import (
@@ -44,10 +44,6 @@ from repro.parallel.pool import ExecutionBackend
 from repro.parallel.runtime import SweepRuntime, get_sweep_runtime
 
 __all__ = ["parallel_coarse_sweep"]
-
-# Re-exported so existing imports of the module keep working; the
-# implementation lives with the runtime now.
-from repro.parallel.runtime import _merge_worker  # noqa: F401
 
 
 class _ParallelCoarseSweeper(_CoarseSweeper):
@@ -83,52 +79,26 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
         self.records_by_diff = True
 
     def _apply_chunk(self, chunk: range) -> None:
-        if self.store is not None:
-            # Columnar: the wedge stream is already flat; the runtime
-            # holds the edge-index columns (loaded once per sweep, as
-            # arrays or as a mapping of the store's pair file), so the
-            # chunk reduces to a [w_start, w_end) range.
-            w_start = int(self.store.offsets[chunk.start])
-            w_end = int(self.store.offsets[chunk.stop])
-            self.xi += w_end - w_start
-            self.p = chunk.stop
-            if w_start == w_end:
-                return  # nothing to merge; the runtime is not consulted
-            before = self.chain
-            if self.engine == "batch":
-                after = self._runtime.chunk_batch_range(before, w_start, w_end)
-            elif self.engine == "sharded":
-                after, deferred = self._runtime.chunk_sharded_range(
-                    before, w_start, w_end, defer_boundary=self.epsilon > 0
-                )
-                self._push_deferred(deferred)
-            else:
-                after = self._runtime.chunk_merge_range(before, w_start, w_end)
-            if after is before:
-                return
-            for c1, c2, parent in transition_merges(before, after):
-                self.pending.append(_PendingMerge(chunk.start, c1, c2, parent, None))
-            self.chain = after
-            return
-
-        graph = self.graph
-        index = self.index
-        pairs = self.pairs
-        assert pairs is not None
-        edge_pairs: List[Tuple[int, int]] = []
-        for pos in chunk:
-            _, (vi, vj), commons = pairs[pos]
-            for vk in commons:
-                edge_pairs.append(
-                    (index[graph.edge_id(vi, vk)], index[graph.edge_id(vj, vk)])
-                )
-            self.xi += len(commons)
-            self.p = pos + 1
-        if not edge_pairs:
+        # The wedge stream is already flat; the runtime holds the
+        # edge-index columns (loaded once per sweep, as arrays or as a
+        # mapping of the store's pair file), so the chunk reduces to a
+        # [w_start, w_end) range.
+        w_start = int(self.store.offsets[chunk.start])
+        w_end = int(self.store.offsets[chunk.stop])
+        self.xi += w_end - w_start
+        self.p = chunk.stop
+        if w_start == w_end:
             return  # nothing to merge; the runtime is not consulted
-
         before = self.chain
-        after = self._runtime.chunk_merge(before, edge_pairs)
+        if self.engine == "batch":
+            after = self._runtime.chunk_batch_range(before, w_start, w_end)
+        elif self.engine == "sharded":
+            after, deferred = self._runtime.chunk_sharded_range(
+                before, w_start, w_end, defer_boundary=self.epsilon > 0
+            )
+            self._push_deferred(deferred)
+        else:
+            after = self._runtime.chunk_merge_range(before, w_start, w_end)
         if after is before:
             return
         # Level records come from the partition diff; positions anchor at
@@ -169,11 +139,11 @@ def parallel_coarse_sweep(
     one more contraction, and ``"sharded"`` gives each worker ownership
     of one contiguous vertex range of ``C`` (no private full copies;
     :mod:`repro.parallel.sharded_sweep`) with host-side boundary
-    reconciliation per level.  Both alternates imply the columnar pair
-    pipeline (a dict ``similarity_map`` is converted up front).
-    ``epsilon > 0`` (sharded only) defers boundary reconciliation
-    across levels while local merge deltas stay within ``(1 + epsilon)``
-    of the reconciled count; the final partition is unchanged.
+    reconciliation per level.  A dict ``similarity_map`` is converted
+    to columns once, on entry.  ``epsilon > 0`` (sharded only) defers
+    boundary reconciliation across levels while local merge deltas
+    stay within ``(1 + epsilon)`` of the reconciled count; the final
+    partition is unchanged.
 
     ``cancel`` is an optional :class:`~repro.core.cancel.CancelToken`
     checked at chunk boundaries (between runtime dispatches, never
@@ -209,17 +179,16 @@ def parallel_coarse_sweep(
         cancel=cancel,
         storage=storage,
     )
-    if sweeper.store is not None:
-        # Columnar: publish the sorted wedge columns to the runtime once;
-        # every chunk then dispatches as a bare index range.  A
-        # file-backed store hands over its spec instead of the arrays —
-        # workers map the pair file directly (the shm runtime otherwise
-        # ships the arrays zero-copy through a shared block).
-        spec = sweeper.store.file_spec()
-        if spec is not None:
-            runtime.load_pairs_file(spec)
-        else:
-            runtime.load_pairs(sweeper.store.c1, sweeper.store.c2)
+    # Publish the sorted wedge columns to the runtime once; every chunk
+    # then dispatches as a bare index range.  A file-backed store hands
+    # over its spec instead of the arrays — workers map the pair file
+    # directly (the shm runtime otherwise ships the arrays zero-copy
+    # through a shared block).
+    spec = sweeper.store.file_spec()
+    if spec is not None:
+        runtime.load_pairs_file(spec)
+    else:
+        runtime.load_pairs(sweeper.store.c1, sweeper.store.c2)
     # The runtime reports per-chunk costs through the sweep's tracer;
     # restore its previous tracer afterwards so a caller-owned runtime
     # never keeps emitting into a tracer that may since have been closed.

@@ -17,8 +17,8 @@ Two implementations cover the four backends:
   array ``C``, one map call, hierarchical array merge;
 * :class:`ShmSweepRuntime` — the ``shm`` backend over
   :class:`repro.parallel.shm_sweep.ShmArena`: one resident ``T x n``
-  shared block plus ``T`` resident worker processes, nothing but the
-  chunk's edge-pair slices crossing a queue.
+  shared block plus ``T`` resident worker processes, nothing but
+  index ranges into the loaded pair columns crossing a queue.
 
 Every runtime accumulates a :class:`RuntimeStats` breaking chunk cost
 into spawn / copy / compute / merge time, which ``repro.bench``
@@ -42,11 +42,7 @@ from repro.errors import ParameterError
 from repro.obs import NULL_TRACER
 from repro.fast.batch_sweep import batch_chunk_merge, batch_components, batch_join_rows
 from repro.parallel.merge_arrays import hierarchical_merge
-from repro.parallel.partitioner import (
-    ShardedPartition,
-    round_robin_partition,
-    strided_partition,
-)
+from repro.parallel.partitioner import ShardedPartition, strided_partition
 from repro.parallel.pool import ExecutionBackend, SerialBackend, get_backend
 from repro.parallel.sharded_sweep import (
     ShardTask,
@@ -159,16 +155,6 @@ class SweepRuntime(ABC):
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
 
-    @abstractmethod
-    def chunk_merge(
-        self, chain: ChainArray, edge_pairs: Sequence[Tuple[int, int]]
-    ) -> ChainArray:
-        """MERGE one chunk's ``edge_pairs`` starting from ``chain``.
-
-        Returns the merged array (``chain`` itself — unmodified — when
-        the chunk carries no pairs); never mutates ``chain``.
-        """
-
     # ------------------------------------------------------------------
     # columnar pair transport
     # ------------------------------------------------------------------
@@ -176,11 +162,10 @@ class SweepRuntime(ABC):
         """Load the sweep's full K2 pair columns once.
 
         ``i1``/``i2`` are the array-``C`` indices of every wedge's two
-        edges, in list-L order.  Subsequent
-        :meth:`chunk_merge_range` calls address ``[start, stop)`` windows
-        of these columns, so per-chunk dispatch ships only two ints —
-        and on the shm backend the columns are written into shared
-        memory exactly once.
+        edges, in list-L order.  Subsequent ``chunk_*_range`` calls
+        address ``[start, stop)`` windows of these columns, so per-chunk
+        dispatch ships only two ints — and on the shm backend the
+        columns are written into shared memory exactly once.
         """
         i1 = np.ascontiguousarray(i1, dtype=np.int64)
         i2 = np.ascontiguousarray(i2, dtype=np.int64)
@@ -219,19 +204,17 @@ class SweepRuntime(ABC):
             )
         return i1, i2
 
+    @abstractmethod
     def chunk_merge_range(
         self, chain: ChainArray, start: int, stop: int
     ) -> ChainArray:
         """MERGE the loaded pair columns' ``[start, stop)`` window.
 
-        Baseline implementation re-materializes the window as pair
-        tuples and delegates to :meth:`chunk_merge`; backends override
-        it to skip that (strided array slices, shared-memory ranges).
+        Starts from ``chain`` and returns the merged array (``chain``
+        itself — unmodified — for an empty window); never mutates
+        ``chain``.  Requires :meth:`load_pairs` (or
+        :meth:`load_pairs_file`) first.
         """
-        i1, i2 = self._require_pairs(start, stop)
-        return self.chunk_merge(
-            chain, list(zip(i1[start:stop].tolist(), i2[start:stop].tolist()))
-        )
 
     def chunk_batch_range(
         self, chain: ChainArray, start: int, stop: int
@@ -307,15 +290,6 @@ class SweepRuntime(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(chunks={self.stats.chunks})"
-
-
-def _merge_worker(
-    chain: ChainArray, pairs: Sequence[Tuple[int, int]]
-) -> ChainArray:
-    """Run MERGE over ``pairs`` on a private copy of array ``C``."""
-    for i1, i2 in pairs:
-        chain.merge(i1, i2)
-    return chain
 
 
 def _merge_arrays_worker(
@@ -399,9 +373,10 @@ class LocalSweepRuntime(SweepRuntime):
     """Chunk processing over a persistent pool backend.
 
     Step 1 copies array ``C`` once per busy worker and maps
-    :func:`_merge_worker` over the copies; step 2 combines them with the
-    corrected hierarchical array merge.  The pool itself (threads or
-    processes) outlives the chunk: it is started once and reused.
+    :func:`_merge_arrays_worker` over the copies; step 2 combines them
+    with the corrected hierarchical array merge.  The pool itself
+    (threads or processes) outlives the chunk: it is started once and
+    reused.
     """
 
     def __init__(self, backend: Union[str, ExecutionBackend], num_workers: int = 2):
@@ -449,7 +424,7 @@ class LocalSweepRuntime(SweepRuntime):
 
         Step 1: copy array ``C`` per busy worker and map ``fn`` over
         ``(copy, *args)``; step 2: hierarchical array merge.  Shared by
-        the pair-list and index-range chunk entry points.
+        the in-memory and file-backed range paths.
         """
         stats = self.stats
         # Spawn before the copy timer starts, so pool construction cost
@@ -478,19 +453,6 @@ class LocalSweepRuntime(SweepRuntime):
         tracer.record("runtime:merge", t3 - t2)
         return after
 
-    def chunk_merge(
-        self, chain: ChainArray, edge_pairs: Sequence[Tuple[int, int]]
-    ) -> ChainArray:
-        self.stats.chunks += 1
-        parts = [
-            part
-            for part in round_robin_partition(list(edge_pairs), self.num_workers)
-            if part
-        ]
-        if not parts:
-            return chain
-        return self._merge_on_copies(chain, _merge_worker, [(part,) for part in parts])
-
     def chunk_merge_range(
         self, chain: ChainArray, start: int, stop: int
     ) -> ChainArray:
@@ -498,10 +460,10 @@ class LocalSweepRuntime(SweepRuntime):
         self.stats.chunks += 1
         if start == stop:
             return chain
-        # Strided slices reproduce round_robin_partition exactly (item r
-        # of the window goes to worker r % k) without materializing pair
-        # tuples; strided_partition never yields an empty slice, so no
-        # idle worker gets a degenerate task.
+        # Strided slices give item r of the window to worker r % k (the
+        # paper's round-robin split) without materializing pair tuples;
+        # strided_partition never yields an empty slice, so no idle
+        # worker gets a degenerate task.
         parts = strided_partition(start, stop, self.num_workers)
         if self._pairs_file is not None and self.backend.name == "process":
             # File-backed pairs + process workers: ship the spec and the
@@ -742,17 +704,6 @@ class ShmSweepRuntime(SweepRuntime):
             arena.load_pairs_file(self._pairs_file, token=self._pairs_token)
         else:
             arena.load_pairs(i1, i2, token=self._pairs_token)
-
-    def chunk_merge(
-        self, chain: ChainArray, edge_pairs: Sequence[Tuple[int, int]]
-    ) -> ChainArray:
-        if not edge_pairs:
-            self.stats.chunks += 1
-            return chain
-        arena = self._arena_for(len(chain))
-        return self._run_on_arena(
-            lambda: arena.chunk_merge(list(chain.raw()), edge_pairs)
-        )
 
     def chunk_merge_range(
         self, chain: ChainArray, start: int, stop: int

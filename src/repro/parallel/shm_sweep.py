@@ -8,21 +8,18 @@ copies as rows of an int64 matrix, worker processes attach and run
 MERGE over their row in place, and the parent combines rows with the
 corrected array-merge scheme without any copy leaving shared memory.
 
-With the columnar pipeline, not even the edge-pair slices cross a
-queue: :meth:`ShmArena.load_pairs` writes the sweep's sorted pair
-columns into a second shared block *once per sweep*, and each chunk's
-task message shrinks to a ``("range", ...)`` tuple naming the block
-plus a strided index range — workers read their pairs straight from
-shared memory.  The legacy list-of-pairs task path remains for the
-dict pipeline.
+Not even the edge-pair slices cross a queue:
+:meth:`ShmArena.load_pairs` writes the sweep's sorted pair columns into
+a second shared block *once per sweep*, and each chunk's task message
+is a ``("range", ...)`` tuple naming the block plus a strided index
+range — workers read their pairs straight from shared memory.
 
 :class:`ShmArena` is the persistent realization of Section VI-B's
 design (the paper starts its pthreads once per run): the block is
 allocated once, the ``T`` workers are spawned once and stay resident
 reading per-chunk tasks from queues, and every subsequent chunk pays
-only the row refresh plus one queue round-trip.  ``shm_chunk_merge``
-keeps the historical one-shot contract on top of it (arena per call)
-and degrades gracefully to an inline loop when ``num_workers == 1``.
+only the row refresh plus one queue round-trip.  A chunk with a single
+busy worker runs inline in the parent (no IPC).
 """
 
 from __future__ import annotations
@@ -40,11 +37,7 @@ from repro.core.storage import PairFileSpec
 from repro.errors import ParallelError, ParameterError
 from repro.fast.batch_sweep import batch_components, batch_join_rows, compress_labels
 from repro.parallel.merge_arrays import merge_chain_into
-from repro.parallel.partitioner import (
-    ShardedPartition,
-    round_robin_partition,
-    strided_partition,
-)
+from repro.parallel.partitioner import ShardedPartition, strided_partition
 from repro.parallel.sharded_sweep import (
     apply_relabels,
     dedupe_root_pairs,
@@ -52,7 +45,7 @@ from repro.parallel.sharded_sweep import (
     sharded_components,
 )
 
-__all__ = ["ShmArena", "shm_chunk_merge", "describe_exitcode"]
+__all__ = ["ShmArena", "describe_exitcode"]
 
 # How long the parent waits between liveness checks while collecting
 # chunk results, and how long shutdown waits for a worker to drain its
@@ -122,13 +115,11 @@ def _worker(
     """Long-lived arena worker: MERGE each task's pairs on row ``row``.
 
     Attaches to the shared block once, then serves tasks until the
-    ``None`` sentinel.  Five task shapes are served:
+    ``None`` sentinel.  These task shapes are served:
 
-    * a list of ``(i1, i2)`` pairs (legacy dict-pipeline path), merged
-      directly;
-    * a ``("range", name, capacity, offset, stop, stride)`` tuple
-      (columnar path): the worker lazily attaches to the named pairs
-      block and merges the strided slice — no pair data on the queue;
+    * a ``("range", name, capacity, offset, stop, stride)`` tuple: the
+      worker lazily attaches to the named pairs block and merges the
+      strided slice — no pair data on the queue;
     * a ``("batch_range", ...)`` tuple with the same fields (batch
       engine): the strided slice is contracted vectorized
       (:func:`repro.fast.batch_sweep.batch_components`) and the fully
@@ -259,8 +250,7 @@ def _worker(
                     kind, lo, hi = task
                     matrix[0, lo:hi] = matrix[1][matrix[0, lo:hi]]
                 else:
-                    for i1, i2 in task:
-                        chain.merge(i1, i2)
+                    raise ParameterError(f"unknown arena task {task!r}")
             except Exception as exc:  # repro: noqa: COR001 — reported to the parent, which raises
                 result_queue.put((row, f"{type(exc).__name__}: {exc}"))
             else:
@@ -277,11 +267,10 @@ class ShmArena:
     """Reusable shared-memory arena: one ``T x n`` block, ``T`` resident workers.
 
     Allocates a single shared block sized to ``num_workers`` rows of
-    ``n`` int64s and keeps ``num_workers`` processes alive across
-    :meth:`chunk_merge` calls; per chunk, only the row refresh and the
-    edge-pair slices are paid.  Lifecycle is explicit
-    (:meth:`start`/:meth:`shutdown`) or managed (``with`` statement);
-    ``chunk_merge`` starts lazily.
+    ``n`` int64s and keeps ``num_workers`` processes alive across chunk
+    calls; per chunk, only the row refresh and a range tuple per worker
+    are paid.  Lifecycle is explicit (:meth:`start`/:meth:`shutdown`)
+    or managed (``with`` statement); chunk calls start lazily.
 
     Timing counters (``spawn_time``, ``copy_time``, ``compute_time``,
     ``merge_time``, plus ``chunks``/``tasks``) accumulate in seconds and
@@ -327,7 +316,6 @@ class ShmArena:
         self.tasks = 0
         self.pair_loads = 0
         self.range_tasks = 0
-        self.list_tasks = 0
         self.batch_tasks = 0
         self.shard_tasks = 0
         self.boundary_edges = 0
@@ -529,7 +517,7 @@ class ShmArena:
         return self.shard_partition().max_width * 8
 
     def __enter__(self) -> "ShmArena":
-        # Lazy: chunk_merge starts the workers only when a chunk really
+        # Lazy: chunk calls start the workers only when a chunk really
         # needs them (empty/inline chunks never pay the spawn).
         return self
 
@@ -546,64 +534,18 @@ class ShmArena:
     # ------------------------------------------------------------------
     # chunk processing
     # ------------------------------------------------------------------
-    def chunk_merge(
-        self, base: Sequence[int], edge_pairs: Sequence[Tuple[int, int]]
-    ) -> List[int]:
-        """Process one chunk's edge pairs over the shared block.
-
-        ``base`` is the current array ``C`` (length ``n``); returns the
-        merged array after all pairs as a plain list — identical to
-        serial processing (the join of the per-worker results).
-        """
-        base_arr = np.asarray(base, dtype=np.int64)
-        if base_arr.shape != (self.n,):
-            raise ParameterError(
-                f"base must be one-dimensional of length {self.n}, "
-                f"got shape {base_arr.shape}"
-            )
-        self.chunks += 1
-        parts = [
-            p for p in round_robin_partition(list(edge_pairs), self.num_workers) if p
-        ]
-        if not parts or self.n == 0:
-            return base_arr.tolist()
-        if len(parts) == 1 or self.num_workers == 1:
-            # One busy worker: IPC buys nothing; merge inline.
-            t0 = time.perf_counter()
-            chain = NumpyChainArray(self.n, buffer=base_arr.copy(), initialized=True)
-            for i1, i2 in edge_pairs:
-                chain.merge(i1, i2)
-            self.compute_time += time.perf_counter() - t0
-            return chain.raw().tolist()
-
-        self.start()
-        assert self._matrix is not None
-        t = len(parts)
-
-        t0 = time.perf_counter()
-        self._matrix[:t] = base_arr  # T duplicate copies of C (paper, step 1)
-        self.copy_time += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for row, part in enumerate(parts):
-            self._task_queues[row].put(part)
-        self.tasks += t
-        self.list_tasks += t
-        self._collect(t)
-        self.compute_time += time.perf_counter() - t0
-
-        return self._combine_rows(t)
-
     def chunk_merge_range(
         self, base: Sequence[int], start: int, stop: int
     ) -> List[int]:
         """Process pairs ``[start, stop)`` of the loaded columns.
 
-        The columnar counterpart of :meth:`chunk_merge`: requires a
-        prior :meth:`load_pairs`, and dispatches only
-        ``("range", ...)`` tuples — worker ``r`` merges the strided
-        slice ``start + r :: num_workers``, which is exactly the
-        round-robin partition of the range.
+        ``base`` is the current array ``C`` (length ``n``); returns the
+        merged array after all pairs as a plain list — identical to
+        serial processing (the join of the per-worker results).
+        Requires a prior :meth:`load_pairs` (or :meth:`load_pairs_file`)
+        and dispatches only ``("range", ...)`` tuples — worker ``r``
+        merges the strided slice ``start + r :: num_workers``, which is
+        exactly the round-robin partition of the range.
         """
         base_arr = np.asarray(base, dtype=np.int64)
         if base_arr.shape != (self.n,):
@@ -983,32 +925,3 @@ class ShmArena:
             worker=dead[0],
         )
 
-
-def shm_chunk_merge(
-    base: Sequence[int],
-    edge_pairs: Sequence[Tuple[int, int]],
-    num_workers: int = 2,
-) -> List[int]:
-    """Process one chunk's edge pairs over shared memory (one-shot).
-
-    Convenience wrapper that runs a throwaway :class:`ShmArena` for a
-    single chunk — sweeps that process many chunks should hold one arena
-    (or use ``backend="shm"`` on
-    :func:`repro.parallel.par_sweep.parallel_coarse_sweep`, which does).
-
-    Parameters
-    ----------
-    base:
-        Current array ``C`` (length ``n``, chain invariants assumed).
-    edge_pairs:
-        The chunk's incident edge pairs (array-``C`` indices).
-    num_workers:
-        Worker processes; each gets a round-robin share and its own row.
-
-    Returns
-    -------
-    The merged array ``C`` after all pairs, as a plain list — the join
-    of the per-worker results, identical to serial processing.
-    """
-    with ShmArena(len(base), num_workers) as arena:
-        return arena.chunk_merge(base, edge_pairs)

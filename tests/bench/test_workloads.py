@@ -11,7 +11,7 @@ from repro.bench.workloads import (
     small_graph_corpus,
 )
 from repro.core.coarse import CoarseParams, coarse_sweep
-from repro.core.config import AUTO_COLUMNAR_MIN_K2
+from repro.core.metrics import count_k2
 
 TINY = PRESETS["tiny"]
 
@@ -75,8 +75,8 @@ class TestSmallGraphCorpus:
         for name, make in corpus.items():
             graph = make()
             assert graph.num_edges > 0, name
-            # "Small" means the auto dispatcher keeps the dict path.
-            assert graph.num_edges**2 < AUTO_COLUMNAR_MIN_K2, name
+            # "Small" means a sub-millisecond sweep: K2 in the hundreds.
+            assert count_k2(graph) < 500, name
 
     def test_factories_deterministic(self):
         corpus = small_graph_corpus()

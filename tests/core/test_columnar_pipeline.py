@@ -1,9 +1,12 @@
-"""Dict and columnar pipelines agree end to end, on every backend.
+"""The columnar run path agrees with the paper reference, on every backend.
 
-The columnar representation must be a pure performance change: for the
-same graph, the dict and columnar runs must produce identical
-dendrograms — per-level cluster counts and final edge labels — on the
-serial driver and on every parallel backend (thread / process / shm).
+List L reaches every sweep as columns; the dict map of Algorithm 1 is
+the paper reference.  For the same graph, the columnar runs must
+produce the reference's dendrogram — per-level cluster counts and final
+edge labels — on the serial driver and on every parallel backend
+(thread / process / shm).  A dict map handed to ``coarse_sweep`` is
+converted to columns on entry, so ``coarse_sweep(g,
+compute_similarity_map(g))`` is the coarse reference.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import pytest
 
 from repro.cluster.validation import same_partition
 from repro.core.coarse import CoarseParams, coarse_sweep
-from repro.core.config import AUTO_COLUMNAR_MIN_K2, RunConfig
+from repro.core.config import RunConfig
 from repro.core.linkclust import LinkClustering
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
@@ -96,54 +99,33 @@ class TestCoarseSweepEquivalence:
 class TestCrossBackendDeterminism:
     def test_columnar_matches_dict_on_backend(self, backend):
         g = generators.caveman_graph(3, 5, weight=generators.random_weights(seed=11))
+        params = CoarseParams(gamma=2.0, phi=10, delta0=6.0)
         workers = 1 if backend == "serial" else 3
-        results = {}
-        for fmt in ("dict", "columnar"):
-            config = RunConfig(
-                backend=backend,
-                num_workers=workers,
-                coarse=CoarseParams(gamma=2.0, phi=10, delta0=6.0),
-                pairs_format=fmt,
-            )
-            results[fmt] = LinkClustering(g, config=config).run()
-        assert_same_dendrogram(
-            results["dict"].dendrogram, results["columnar"].dendrogram
+        config = RunConfig(
+            backend=backend,
+            num_workers=workers,
+            coarse=params,
+            pairs_format="columnar",
         )
-        assert results["dict"].pairs_format == "dict"
-        assert results["columnar"].pairs_format == "columnar"
+        result = LinkClustering(g, config=config).run()
+        reference = coarse_sweep(g, compute_similarity_map(g), params=params)
+        assert_same_dendrogram(reference.dendrogram, result.dendrogram)
+        assert result.pairs_format == "columnar"
 
 
 class TestAutoDispatch:
-    def test_small_graph_resolves_to_dict(self, triangle):
-        lc = LinkClustering(triangle, pairs_format="auto")
-        assert lc.resolved_pairs_format() == "dict"
-
-    def test_large_k2_resolves_to_columnar(self):
-        # One hub of degree d contributes d*(d-1)/2 to the K2 estimate.
-        d = 1
-        while d * (d - 1) // 2 < AUTO_COLUMNAR_MIN_K2:
-            d += 1
-        g = generators.star_graph(d)
-        lc = LinkClustering(g, pairs_format="auto")
-        assert lc.resolved_pairs_format() == "columnar"
-
-    def test_explicit_formats_pass_through(self, triangle):
-        assert (
-            LinkClustering(triangle, pairs_format="dict").resolved_pairs_format()
-            == "dict"
-        )
-        assert (
-            LinkClustering(
-                triangle, pairs_format="columnar"
-            ).resolved_pairs_format()
-            == "columnar"
-        )
-
     def test_invalid_format_rejected(self, triangle):
         from repro.errors import ParameterError
 
         with pytest.raises(ParameterError):
             LinkClustering(triangle, pairs_format="parquet")
+
+    @pytest.mark.parametrize("fmt", ["dict", "auto"])
+    def test_removed_formats_rejected(self, triangle, fmt):
+        from repro.errors import ParameterError
+
+        with pytest.raises(ParameterError, match="pairs_format must be one of"):
+            LinkClustering(triangle, pairs_format=fmt)
 
 
 class TestObservability:
@@ -158,22 +140,27 @@ class TestObservability:
         _result, sink = self.run_traced(weighted_caveman, "columnar")
         events = [e for e in sink.events if e.name == "run:pairs_format"]
         assert len(events) == 1
-        assert events[0].attrs["format"] == "columnar"
-        assert events[0].attrs["requested"] == "columnar"
-
-    def test_auto_records_requested_format(self, triangle):
-        _result, sink = self.run_traced(triangle, "auto")
-        (event,) = [e for e in sink.events if e.name == "run:pairs_format"]
-        assert event.attrs == {"format": "dict", "requested": "auto"}
+        assert events[0].attrs == {"format": "columnar"}
 
     def test_span_names_identical_across_formats(self, weighted_caveman):
-        _r1, dict_sink = self.run_traced(weighted_caveman, "dict")
-        _r2, col_sink = self.run_traced(weighted_caveman, "columnar")
-        # The columnar pipeline reports through the same span vocabulary
-        # the dashboards already consume.
-        assert dict_sink.span_names() == col_sink.span_names()
+        names = {}
+        for fmt in ("columnar", "mmap"):
+            sink = MemorySink()
+            LinkClustering(
+                weighted_caveman,
+                config=RunConfig(
+                    coarse=True, backend="thread", num_workers=2, pairs_format=fmt
+                ),
+                tracer=Tracer([sink]),
+            ).run()
+            names[fmt] = set(sink.span_names())
+        # Both backings report through the same span vocabulary the
+        # dashboards consume; the out-of-core store only adds storage:*.
+        assert names["columnar"] == {
+            n for n in names["mmap"] if not n.startswith("storage:")
+        }
         for name in ("init:pass1", "init:pass3", "phase:sort", "phase:sweep"):
-            assert name in col_sink.span_names()
+            assert name in names["columnar"]
 
     def test_result_to_dict_reports_format(self, weighted_caveman):
         result, _sink = self.run_traced(weighted_caveman, "columnar")

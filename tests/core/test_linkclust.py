@@ -107,13 +107,6 @@ class TestParallelRuns:
         ).run()
         assert same_partition(serial.edge_labels(), parallel.edge_labels())
 
-    def test_vectorized_matches_serial(self, planted):
-        serial = LinkClustering(planted).run()
-        vectorized = LinkClustering(planted, vectorized=True).run()
-        assert same_partition(serial.edge_labels(), vectorized.edge_labels())
-        assert serial.k1 == vectorized.k1
-        assert serial.k2 == vectorized.k2
-
     def test_shared_similarity_map(self, planted):
         lc = LinkClustering(planted)
         sim = lc.compute_similarities()
@@ -225,17 +218,17 @@ class TestConfigApi:
         with pytest.raises(ParameterError, match="schema_version"):
             ResultSummary.from_dict({**d, "schema_version": 99})
 
+    def test_summary_rejects_v2_payload(self, triangle):
+        from repro.core.linkclust import RESULT_SCHEMA_VERSION, ResultSummary
+
+        assert RESULT_SCHEMA_VERSION == 3
+        d = LinkClustering(triangle).run().to_dict()
+        assert "vectorized" not in d["config"]
+        with pytest.raises(ParameterError, match="schema_version 2"):
+            ResultSummary.from_dict({**d, "schema_version": 2})
+
 
 class TestBatchEngineRuns:
-    def test_auto_pairs_format_forced_columnar(self, triangle):
-        from repro.core.config import RunConfig
-
-        lc = LinkClustering(
-            triangle, config=RunConfig(coarse=True, engine="batch")
-        )
-        assert lc.pairs_format == "auto"
-        assert lc.resolved_pairs_format() == "columnar"
-
     def test_batch_run_matches_chained(self, weighted_caveman):
         from repro.core.config import RunConfig
 
@@ -278,15 +271,6 @@ class TestBatchEngineRuns:
 
 
 class TestShardedEngineRuns:
-    def test_auto_pairs_format_forced_columnar(self, triangle):
-        from repro.core.config import RunConfig
-
-        lc = LinkClustering(
-            triangle, config=RunConfig(coarse=True, engine="sharded")
-        )
-        assert lc.pairs_format == "auto"
-        assert lc.resolved_pairs_format() == "columnar"
-
     def test_sharded_run_matches_chained(self, weighted_caveman):
         from repro.core.config import RunConfig
 

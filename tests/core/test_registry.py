@@ -29,15 +29,14 @@ class TestBuiltinTable:
     def test_builtin_names(self):
         assert backend_names() == ("serial", "thread", "process", "shm")
         assert engine_names() == ("chained", "batch", "sharded")
-        assert pair_format_names() == ("dict", "columnar", "auto", "mmap")
+        assert pair_format_names() == ("columnar", "mmap")
 
     def test_engine_capabilities(self):
         chained = get_engine("chained")
         assert not chained.requires_coarse
-        assert chained.accepts_dict_pairs
         assert not chained.supports_epsilon
         batch = get_engine("batch")
-        assert batch.requires_coarse and not batch.accepts_dict_pairs
+        assert batch.requires_coarse and not batch.supports_epsilon
         sharded = get_engine("sharded")
         assert sharded.supports_epsilon
 
@@ -45,13 +44,6 @@ class TestBuiltinTable:
         assert not get_backend("serial").parallel
         for name in ("thread", "process", "shm"):
             assert get_backend(name).parallel
-
-    def test_pair_format_concreteness(self):
-        assert get_pair_format("dict").concrete
-        assert get_pair_format("columnar").concrete
-        assert not get_pair_format("auto").concrete
-        mmap_spec = get_pair_format("mmap")
-        assert mmap_spec.concrete and mmap_spec.requires_coarse
 
     def test_unknown_names_raise(self):
         with pytest.raises(ParameterError, match="engine must be one of"):
@@ -65,14 +57,14 @@ class TestBuiltinTable:
 class TestValidation:
     def test_valid_defaults(self):
         validate_run_settings(
-            backend="serial", engine="chained", pairs_format="auto",
+            backend="serial", engine="chained", pairs_format="columnar",
             coarse=False, epsilon=0.0, num_workers=1,
         )
 
     def test_engine_requires_coarse(self):
         with pytest.raises(ParameterError, match="requires coarse sweeping"):
             validate_run_settings(
-                backend="serial", engine="batch", pairs_format="auto",
+                backend="serial", engine="batch", pairs_format="columnar",
                 coarse=False, epsilon=0.0, num_workers=1,
             )
 
@@ -86,7 +78,7 @@ class TestValidation:
     def test_epsilon_only_for_sharded(self):
         with pytest.raises(ParameterError, match="epsilon"):
             validate_run_settings(
-                backend="serial", engine="chained", pairs_format="auto",
+                backend="serial", engine="chained", pairs_format="columnar",
                 coarse=True, epsilon=0.5, num_workers=1,
             )
 
@@ -106,7 +98,7 @@ class TestValidation:
             )
         with pytest.raises(ParameterError, match="memory_budget_bytes"):
             validate_run_settings(
-                backend="serial", engine="chained", pairs_format="auto",
+                backend="serial", engine="chained", pairs_format="columnar",
                 coarse=True, epsilon=0.0, num_workers=1,
                 memory_budget_bytes=1 << 20,
             )
@@ -123,7 +115,7 @@ class TestValidation:
     def test_bad_worker_count(self):
         with pytest.raises(ParameterError, match="num_workers"):
             validate_run_settings(
-                backend="thread", engine="chained", pairs_format="auto",
+                backend="thread", engine="chained", pairs_format="columnar",
                 coarse=True, epsilon=0.0, num_workers=0,
             )
 
@@ -156,4 +148,4 @@ class TestRegistration:
         with pytest.raises(ParameterError, match="already registered"):
             register_backend(BackendSpec(name="thread", summary="dup"))
         with pytest.raises(ParameterError, match="already registered"):
-            register_pair_format(PairFormatSpec(name="dict", summary="dup"))
+            register_pair_format(PairFormatSpec(name="columnar", summary="dup"))

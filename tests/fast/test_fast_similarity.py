@@ -1,4 +1,4 @@
-"""Tests for the vectorized Phase I (repro.fast.similarity)."""
+"""Tests for the columnar Phase I (repro.fast.similarity)."""
 
 from __future__ import annotations
 
@@ -9,9 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.similarity import compute_similarity_map
-from repro.fast.similarity import adjacency_matrix, fast_similarity_map
+from repro.fast.similarity import adjacency_matrix, fast_similarity_columns
 from repro.graph import generators
 from repro.graph.graph import Graph
+
+
+def fast_similarity_map(graph):
+    """The columnar Phase I as a dict map, for entry-wise comparison."""
+    return fast_similarity_columns(graph).to_similarity_map()
 
 
 def assert_equal_maps(fast, reference):

@@ -1,4 +1,10 @@
-"""Tests for the vectorized sweep (repro.fast.sweep)."""
+"""Tests for the columnar fine sweep: ``sweep(g, fast_similarity_columns(g))``.
+
+The run path's list L is the columnar Phase I output sorted by
+:meth:`SimilarityColumns.sort_pairs` and expanded into its K2 wedge
+stream by :func:`wedge_edge_arrays`; these tests check that stream and
+the fine sweep over it against the pure-Python reference.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.validation import same_partition
+from repro.core.simcolumns import wedge_edge_arrays
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
-from repro.fast.sweep import fast_sweep, wedge_stream
+from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.graph.graph import Graph
+
+
+def wedge_stream(graph):
+    """``(e1, e2, sims, k1)``: list L's K2 wedges as edge ids, in order."""
+    columns = fast_similarity_columns(graph).sort_pairs()
+    e1, e2 = wedge_edge_arrays(graph, columns)
+    sims = np.repeat(columns.sim, columns.pair_counts())
+    return e1, e2, sims, columns.k1
+
+
+def fast_sweep(graph, **kwargs):
+    return sweep(graph, fast_similarity_columns(graph), **kwargs)
 
 
 class TestWedgeStream:

@@ -17,7 +17,7 @@ class TestValidation:
         assert cfg.num_workers == 1
         assert cfg.coarse is None
         assert cfg.seed is None
-        assert cfg.vectorized is False
+        assert cfg.pairs_format == "columnar"
         assert cfg.tracing_enabled is False
 
     def test_bad_backend(self):
@@ -31,6 +31,34 @@ class TestValidation:
     def test_bad_seed(self):
         with pytest.raises(ParameterError, match="seed"):
             RunConfig(seed="abc")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_workers": True},
+            {"num_workers": False},
+            {"seed": True},
+            {"seed": False},
+            {"engine": "sharded", "coarse": True, "epsilon": float("nan")},
+            {"engine": "sharded", "coarse": True, "epsilon": float("inf")},
+            {"epsilon": float("nan")},
+        ],
+        ids=[
+            "workers-true",
+            "workers-false",
+            "seed-true",
+            "seed-false",
+            "sharded-epsilon-nan",
+            "sharded-epsilon-inf",
+            "chained-epsilon-nan",
+        ],
+    )
+    def test_bools_and_non_finite_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            RunConfig(**kwargs)
+        # Serve submissions arrive as dicts through from_dict.
+        with pytest.raises(ParameterError):
+            RunConfig.from_dict(kwargs)
 
     def test_bad_coarse(self):
         with pytest.raises(ParameterError, match="coarse"):
@@ -89,7 +117,6 @@ class TestRoundTrip:
             num_workers=4,
             coarse=CoarseParams(gamma=3.0, phi=10, delta0=50.0),
             seed=7,
-            vectorized=True,
             profile=True,
             metrics_out="trace.jsonl",
         )

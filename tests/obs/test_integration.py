@@ -160,3 +160,47 @@ class TestTraceShape:
         lc = LinkClustering(graph)
         assert lc.tracer is NULL_TRACER
         lc.run()
+
+
+class TestProfileFromLibrary:
+    """``RunConfig(profile=True)`` prints its summary from the library too."""
+
+    HEADER = "total_s"  # one per rendered summary table
+
+    def test_library_run_prints_summary_once(self, capsys):
+        graph = generators.caveman_graph(4, 5)
+        LinkClustering(graph, config=RunConfig(profile=True)).run()
+        err = capsys.readouterr().err
+        assert err.count(self.HEADER) == 1
+        assert "phase:init" in err
+
+    def test_second_run_gets_a_fresh_tracer(self, capsys):
+        graph = generators.caveman_graph(4, 5)
+        lc = LinkClustering(graph, config=RunConfig(profile=True))
+        lc.run()
+        first = lc.tracer
+        assert capsys.readouterr().err.count(self.HEADER) == 1
+        lc.run()
+        assert lc.tracer is not first
+        assert capsys.readouterr().err.count(self.HEADER) == 1
+
+    def test_metrics_file_complete_after_run(self, tmp_path):
+        import json
+
+        path = tmp_path / "trace.jsonl"
+        graph = generators.caveman_graph(4, 5)
+        LinkClustering(graph, config=RunConfig(metrics_out=str(path))).run()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert any(r["name"] == "run" for r in records)
+        assert any(r["name"] == "k2" for r in records)
+
+    def test_caller_tracer_stays_open(self, capsys):
+        from repro.obs import SummarySink
+
+        graph = generators.caveman_graph(4, 5)
+        tracer = Tracer([SummarySink()])
+        LinkClustering(graph, tracer=tracer).run()
+        assert self.HEADER not in capsys.readouterr().err
+        tracer.close()
+        tracer.close()  # idempotent: the summary prints once
+        assert capsys.readouterr().err.count(self.HEADER) == 1

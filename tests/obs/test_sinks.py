@@ -142,7 +142,7 @@ class TestReplaySink:
 
         sink = ReplaySink()
         tracer = Tracer([sink])
-        tracer.event("run:pairs_format", format="dict", requested="auto")
+        tracer.event("run:pairs_format", format="columnar")
         sink.close()
         # A follower starting after close replays then stops.
         records = list(sink.follow(timeout=1.0))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.parallel_runtime import load_chunk_workload
 from repro.cluster.unionfind import ChainArray
 from repro.cluster.validation import same_partition
 from repro.core.coarse import CoarseParams, coarse_sweep
@@ -41,6 +42,13 @@ def random_chunks(n, num_chunks, pairs_per_chunk, seed=0):
     ]
 
 
+def merge_chunks(runtime, chain, chunks):
+    """Load ``chunks`` as pair columns, then merge them range by range."""
+    for lo, hi in load_chunk_workload(runtime, chunks):
+        chain = runtime.chunk_merge_range(chain, lo, hi)
+    return chain
+
+
 class TestFactory:
     def test_names(self):
         assert get_sweep_runtime("serial").name == "serial"
@@ -70,27 +78,27 @@ class TestFactory:
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process", "shm"])
 class TestChunkMerge:
+    """Chunks of a pair workload, loaded once and merged range by range."""
+
     def test_empty_chunk_returns_chain_unchanged(self, backend):
         with get_sweep_runtime(backend, 2) as runtime:
             chain = ChainArray(6)
-            after = runtime.chunk_merge(chain, [])
+            after = merge_chunks(runtime, chain, [[]])
             assert after is chain  # identity: caller skips the diff
             assert chain.labels() == list(range(6))
 
     def test_matches_serial_reference(self, backend):
         n = 30
+        chunks = random_chunks(n, 3, 20, seed=7)
         with get_sweep_runtime(backend, 3) as runtime:
-            chain = ChainArray(n)
-            flat = []
-            for pairs in random_chunks(n, 3, 20, seed=7):
-                chain = runtime.chunk_merge(chain, pairs)
-                flat.extend(pairs)
-            assert chain.labels() == reference_merge(list(range(n)), flat)
+            chain = merge_chunks(runtime, ChainArray(n), chunks)
+        flat = [pair for pairs in chunks for pair in pairs]
+        assert chain.labels() == reference_merge(list(range(n)), flat)
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process", "shm"])
 class TestChunkMergeRange:
-    """runtime.load_pairs + chunk_merge_range ≡ chunk_merge over slices."""
+    """runtime.load_pairs + chunk_merge_range ≡ serial MERGE over slices."""
 
     def test_requires_load_pairs(self, backend):
         with get_sweep_runtime(backend, 2) as runtime:
@@ -112,19 +120,18 @@ class TestChunkMergeRange:
     def test_matches_chunk_merge(self, backend):
         n = 30
         pairs = [p for chunk in random_chunks(n, 3, 20, seed=13) for p in chunk]
-        with get_sweep_runtime(backend, 3) as by_list:
-            with get_sweep_runtime(backend, 3) as by_range:
-                by_range.load_pairs(
-                    [a for a, _ in pairs], [b for _, b in pairs]
+        with get_sweep_runtime(backend, 3) as by_range:
+            by_range.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
+            chain_r = ChainArray(n)
+            for start in range(0, len(pairs), 20):
+                stop = min(start + 20, len(pairs))
+                chain_r = by_range.chunk_merge_range(chain_r, start, stop)
+                # Each chunk leaves the partition of the serial MERGE
+                # chain over the same prefix.
+                assert same_partition(
+                    chain_r.labels(), reference_merge(list(range(n)), pairs[:stop])
                 )
-                chain_l = ChainArray(n)
-                chain_r = ChainArray(n)
-                for start in range(0, len(pairs), 20):
-                    stop = min(start + 20, len(pairs))
-                    chain_l = by_list.chunk_merge(chain_l, pairs[start:stop])
-                    chain_r = by_range.chunk_merge_range(chain_r, start, stop)
-                    assert same_partition(chain_l.labels(), chain_r.labels())
-                assert chain_r.labels() == reference_merge(list(range(n)), pairs)
+            assert chain_r.labels() == reference_merge(list(range(n)), pairs)
 
     def test_shm_ships_ranges_not_pairs(self, backend):
         if backend != "shm":
@@ -139,7 +146,6 @@ class TestChunkMergeRange:
                     chain, start, min(start + 20, len(pairs))
                 )
             arena = runtime.arena
-            assert arena.list_tasks == 0
             assert arena.range_tasks > 0
             assert arena.pair_loads == 1  # columns crossed exactly once
 
@@ -202,7 +208,6 @@ class TestChunkBatchRange:
                 )
             arena = runtime.arena
             assert arena.batch_tasks > 0
-            assert arena.list_tasks == 0
             assert arena.range_tasks == 0
             assert arena.pair_loads == 1
 
@@ -295,7 +300,6 @@ class TestChunkShardedRange:
                 )
             arena = runtime.arena
             assert arena.shard_tasks > 0
-            assert arena.list_tasks == 0
             assert arena.batch_tasks == 0
             assert arena.pair_loads == 1
             assert arena.boundary_edges > 0
@@ -382,8 +386,9 @@ class TestPersistence:
         with LocalSweepRuntime("process", 2) as runtime:
             chain = ChainArray(n)
             executors = set()
-            for pairs in random_chunks(n, 4, 10, seed=1):
-                chain = runtime.chunk_merge(chain, pairs)
+            ranges = load_chunk_workload(runtime, random_chunks(n, 4, 10, seed=1))
+            for lo, hi in ranges:
+                chain = runtime.chunk_merge_range(chain, lo, hi)
                 executors.add(id(runtime.backend._executor))
             assert len(executors) == 1  # one pool served every chunk
             assert runtime.stats.chunks == 4
@@ -395,8 +400,9 @@ class TestPersistence:
         with LocalSweepRuntime("thread", 3) as runtime:
             chain = ChainArray(n)
             executors = set()
-            for pairs in random_chunks(n, 3, 12, seed=2):
-                chain = runtime.chunk_merge(chain, pairs)
+            ranges = load_chunk_workload(runtime, random_chunks(n, 3, 12, seed=2))
+            for lo, hi in ranges:
+                chain = runtime.chunk_merge_range(chain, lo, hi)
                 executors.add(id(runtime.backend._executor))
             assert len(executors) == 1
 
@@ -405,8 +411,9 @@ class TestPersistence:
         with ShmSweepRuntime(2) as runtime:
             chain = ChainArray(n)
             pids = set()
-            for pairs in random_chunks(n, 4, 12, seed=3):
-                chain = runtime.chunk_merge(chain, pairs)
+            ranges = load_chunk_workload(runtime, random_chunks(n, 4, 12, seed=3))
+            for lo, hi in ranges:
+                chain = runtime.chunk_merge_range(chain, lo, hi)
                 pids.add(tuple(runtime.arena.worker_pids()))
             assert len(pids) == 1  # same resident processes every chunk
             assert runtime.stats.chunks == 4
@@ -415,18 +422,22 @@ class TestPersistence:
 
     def test_shm_arena_resized_on_new_array_length(self):
         with ShmSweepRuntime(2) as runtime:
-            runtime.chunk_merge(ChainArray(10), [(0, 1), (2, 3), (4, 5)])
+            runtime.load_pairs([0, 2, 4], [1, 3, 5])
+            runtime.chunk_merge_range(ChainArray(10), 0, 3)
             first = runtime.arena
-            runtime.chunk_merge(ChainArray(16), [(0, 1), (2, 3), (4, 5)])
+            runtime.chunk_merge_range(ChainArray(16), 0, 3)
             assert runtime.arena is not first
             assert runtime.arena.n == 16
 
     def test_runtime_restarts_after_shutdown(self):
         runtime = LocalSweepRuntime("thread", 2)
-        chain = runtime.chunk_merge(ChainArray(8), [(0, 1), (2, 3), (4, 5)])
+        first, second = load_chunk_workload(
+            runtime, [[(0, 1), (2, 3), (4, 5)], [(1, 2), (5, 6), (6, 7)]]
+        )
+        chain = runtime.chunk_merge_range(ChainArray(8), *first)
         runtime.shutdown()
         assert not runtime.backend.running
-        chain = runtime.chunk_merge(chain, [(1, 2), (5, 6), (6, 7)])
+        chain = runtime.chunk_merge_range(chain, *second)
         runtime.shutdown()
         assert chain.labels() == reference_merge(
             list(range(8)), [(0, 1), (2, 3), (4, 5), (1, 2), (5, 6), (6, 7)]
@@ -440,7 +451,7 @@ class TestSweeperIntegration:
         class ExplodingRuntime(SweepRuntime):
             name = "exploding"
 
-            def chunk_merge(self, chain, edge_pairs):
+            def chunk_merge_range(self, chain, start, stop):
                 raise AssertionError("runtime consulted for an empty chunk")
 
         sim = compute_similarity_map(triangle)
@@ -509,24 +520,27 @@ class TestArenaFailures:
         arena = ShmArena(8, 2)
         with pytest.raises(ParallelError, match="worker"):
             with arena:
-                arena.chunk_merge(list(range(8)), [(0, 1), (2, 99)])
+                arena.load_pairs([0, 2], [1, 99])  # 99 out of range
+                arena.chunk_merge_range(list(range(8)), 0, 2)
         assert not arena.running
         if before is not None:
             assert set(os.listdir(shm_dir)) <= before
 
     def test_worker_error_carries_worker_index(self):
         with ShmArena(8, 2) as arena:
+            arena.load_pairs([0, 2], [1, 99])
             with pytest.raises(ParallelError) as excinfo:
-                arena.chunk_merge(list(range(8)), [(0, 1), (2, 99)])
+                arena.chunk_merge_range(list(range(8)), 0, 2)
             assert excinfo.value.worker == 1  # pair (2, 99) is row 1's share
 
     def test_arena_survives_worker_error(self):
         """An in-worker exception is reported, not fatal: rows are rebuilt
         from base at the next chunk, so the arena keeps serving."""
         with ShmArena(8, 2) as arena:
+            arena.load_pairs([0, 2, 0, 2], [1, 99, 1, 3])
             with pytest.raises(ParallelError):
-                arena.chunk_merge(list(range(8)), [(0, 1), (2, 99)])
-            merged = arena.chunk_merge(list(range(8)), [(0, 1), (2, 3)])
+                arena.chunk_merge_range(list(range(8)), 0, 2)
+            merged = arena.chunk_merge_range(list(range(8)), 2, 4)
             assert ChainArray(8, _init=merged).labels() == reference_merge(
                 list(range(8)), [(0, 1), (2, 3)]
             )
@@ -539,17 +553,16 @@ class TestArenaFailures:
             victim = arena._procs[1]
             victim.terminate()
             victim.join()
+            arena.load_pairs(list(range(12)), list(range(1, 13)))
             with pytest.raises(ParallelError, match="SIGTERM"):
-                arena.chunk_merge(
-                    list(range(16)),
-                    [(i, i + 1) for i in range(12)],
-                )
+                arena.chunk_merge_range(list(range(16)), 0, 12)
         assert not arena.running
 
     def test_base_length_validated(self):
         with ShmArena(8, 2) as arena:
+            arena.load_pairs([0], [1])
             with pytest.raises(ParameterError):
-                arena.chunk_merge(list(range(9)), [(0, 1)])
+                arena.chunk_merge_range(list(range(9)), 0, 1)
 
 
 class TestExitcodeClassification:
@@ -570,14 +583,17 @@ def test_shm_run_is_warning_clean():
     resource-tracker KeyError / leaked-object warnings at interpreter
     exit (workers must not register the parent's block)."""
     script = (
-        "from repro.parallel.shm_sweep import shm_chunk_merge\n"
+        "from repro.parallel.shm_sweep import ShmArena\n"
         "from repro.parallel.runtime import ShmSweepRuntime\n"
         "from repro.cluster.unionfind import ChainArray\n"
-        "shm_chunk_merge(list(range(32)), [(i, i + 1) for i in range(20)], 2)\n"
+        "with ShmArena(32, 2) as arena:\n"
+        "    arena.load_pairs(list(range(20)), list(range(1, 21)))\n"
+        "    arena.chunk_merge_range(list(range(32)), 0, 20)\n"
         "with ShmSweepRuntime(2) as rt:\n"
+        "    rt.load_pairs(list(range(20)), list(range(2, 22)))\n"
         "    chain = ChainArray(32)\n"
         "    for _ in range(3):\n"
-        "        chain = rt.chunk_merge(chain, [(i, i + 2) for i in range(20)])\n"
+        "        chain = rt.chunk_merge_range(chain, 0, 20)\n"
         "with ShmSweepRuntime(2) as rt:\n"
         "    rt.load_pairs(list(range(20)), list(range(2, 22)))\n"
         "    chain = ChainArray(32)\n"

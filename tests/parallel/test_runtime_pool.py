@@ -85,7 +85,10 @@ class TestRuntimesWork:
     def test_leased_runtime_processes_chunks(self):
         # The pooled runtime is a real SweepRuntime: drive one chunk
         # through it and check it computes (smoke, not a sweep test).
-        from repro.bench.parallel_runtime import make_chunk_workload
+        from repro.bench.parallel_runtime import (
+            load_chunk_workload,
+            make_chunk_workload,
+        )
         from repro.cluster.unionfind import ChainArray
 
         n = 100
@@ -94,8 +97,8 @@ class TestRuntimesWork:
             runtime = pool.lease("thread", 2)
             try:
                 chain = ChainArray(n)
-                for pairs in chunks:
-                    chain = runtime.chunk_merge(chain, pairs)
+                for lo, hi in load_chunk_workload(runtime, chunks):
+                    chain = runtime.chunk_merge_range(chain, lo, hi)
                 assert any(chain.find(i) != i for i in range(n))
             finally:
                 pool.release("thread", 2, runtime)

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from repro.cluster.unionfind import ChainArray
 from repro.errors import ParameterError
-from repro.parallel.shm_sweep import ShmArena, shm_chunk_merge
+from repro.parallel.shm_sweep import ShmArena
+
+
+def shm_chunk_merge(base, pairs, num_workers):
+    """One chunk through a throwaway arena: load the columns, merge the range."""
+    with ShmArena(len(base), num_workers) as arena:
+        arena.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
+        return arena.chunk_merge_range(base, 0, len(pairs))
 
 
 def serial_reference(base, pairs):
@@ -121,15 +128,17 @@ class TestChunkMergeRange:
         pairs = self.make_pairs(n, 50, seed=workers)
         i1 = [a for a, _ in pairs]
         i2 = [b for _, b in pairs]
-        with ShmArena(n, workers) as by_range, ShmArena(n, workers) as by_list:
+        with ShmArena(n, workers) as by_range:
             by_range.load_pairs(i1, i2)
             base_r = list(range(n))
-            base_l = list(range(n))
             for start in range(0, len(pairs), 17):
                 stop = min(start + 17, len(pairs))
                 base_r = by_range.chunk_merge_range(base_r, start, stop)
-                base_l = by_list.chunk_merge(base_l, pairs[start:stop])
-                assert labels_of(base_r) == labels_of(base_l)
+                # Chunk by chunk, the partition equals the serial MERGE
+                # chain over the same prefix of the pairs.
+                assert labels_of(base_r) == serial_reference(
+                    list(range(n)), pairs[:stop]
+                )
 
     def test_no_pair_data_crosses_the_queue(self):
         """The columnar path must dispatch range tuples only."""
@@ -140,7 +149,6 @@ class TestChunkMergeRange:
             base = list(range(n))
             for start in range(0, len(pairs), 12):
                 base = arena.chunk_merge_range(base, start, min(start + 12, 48))
-            assert arena.list_tasks == 0
             assert arena.range_tasks > 0
             assert arena.pair_loads == 1
             assert labels_of(base) == serial_reference(list(range(n)), pairs)
@@ -236,7 +244,6 @@ class TestChunkBatchRange:
                 base = arena.chunk_batch_range(base, start, min(start + 12, 48))
             assert arena.batch_tasks > 0
             assert arena.range_tasks == 0
-            assert arena.list_tasks == 0
             assert arena.pair_loads == 1
 
 
@@ -327,7 +334,6 @@ class TestChunkShardedRange:
             assert arena.shard_tasks > 0
             assert arena.batch_tasks == 0
             assert arena.range_tasks == 0
-            assert arena.list_tasks == 0
             assert arena.pair_loads == 1
             assert arena.boundary_edges > 0
             assert arena.shard_bytes == 8 * arena.shard_partition().max_width

@@ -171,7 +171,7 @@ class TestResultPayload:
         assert isinstance(payload["dendrogram"], str)
         dendro = loads_dendrogram(payload["dendrogram"])
         assert dendro.merges == result.dendrogram.merges
-        assert payload["summary"]["schema_version"] == 2
+        assert payload["summary"]["schema_version"] == 3
         assert payload["edge_labels"] == result.edge_labels()
         json.dumps(payload)  # the whole payload must be JSON-serializable
 

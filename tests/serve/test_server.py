@@ -83,7 +83,7 @@ class TestBasics:
 
     def test_run_convenience(self, client):
         result = client.run(edges=EDGES, config={"backend": "serial"})
-        assert result["summary"]["schema_version"] == 2
+        assert result["summary"]["schema_version"] == 3
 
 
 class TestBitwiseIdentity:

@@ -292,6 +292,11 @@ class TestRunFlags:
         assert "phase:init" in captured.err
         assert "sweep:chunk" not in captured.out
 
+    def test_cluster_profile_summary_printed_once(self, graph_file, capsys):
+        code = main(["cluster", str(graph_file), "--int-labels", "--profile"])
+        assert code == 0
+        assert capsys.readouterr().err.count("total_s") == 1
+
     def test_cluster_metrics_out_writes_valid_jsonl(self, graph_file, tmp_path, capsys):
         import json
 
@@ -315,7 +320,7 @@ class TestRunFlags:
         code = main(["cluster", str(graph_file), "--int-labels", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["config"]["backend"] == "serial"
 
     def test_reproduce_profile_traces_figures(self, tmp_path, capsys, monkeypatch):
