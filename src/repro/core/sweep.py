@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.cluster.dendrogram import Dendrogram, DendrogramBuilder
 from repro.cluster.unionfind import ChainArray
-from repro.core.cancel import CHECK_INTERVAL, CancelToken
+from repro.core.cancel import CancelToken
 from repro.core.simcolumns import SimilarityColumns, wedge_edge_arrays
 from repro.core.similarity import SimilarityMap, compute_similarity_map
 from repro.errors import ClusteringError
@@ -29,6 +29,11 @@ from repro.graph.graph import Graph
 from repro.obs import as_tracer
 
 __all__ = ["SweepResult", "sweep", "build_edge_index"]
+
+#: Minimum prefilter block of the columnar fine sweep, in wedges.  A
+#: block spans ``max(FILTER_BLOCK, |E|)`` wedges, so the O(|E|) relabel
+#: at each block start costs O(1) amortized per wedge.
+FILTER_BLOCK = 16384
 
 
 def build_edge_index(
@@ -110,21 +115,26 @@ def sweep(
     similarity_map:
         Phase-I output — dict :class:`SimilarityMap` or columnar
         :class:`SimilarityColumns`; computed on the fly (dict) when
-        omitted.  Both forms yield identical results; the columnar path
-        sorts and expands the K2 stream with vectorized kernels.
+        omitted.  Both forms yield identical merge records; the columnar
+        path sorts and expands the K2 stream with vectorized kernels and
+        replays only the wedges that can still merge (see
+        :func:`_columnar_sweep`).
     edge_order:
         Optional permutation assigning array-``C`` indices to edges.
     record_changes:
         Track per-MERGE change counts on array ``C`` (Figure 2(1) data).
+        Needs every MERGE call, so columnar input is converted to the
+        dict form and runs the per-pair reference loop.
     tracer:
         Optional :class:`repro.obs.Tracer`; gets ``phase:sort`` and
-        ``phase:sweep`` spans plus a ``merges`` counter.  Tracing sits
-        outside the merge loop, so it costs nothing per pair.
+        ``phase:sweep`` spans plus ``merges`` and ``wedges_replayed``
+        counters.  Tracing sits outside the merge loop, so it costs
+        nothing per pair.
     cancel:
         Optional :class:`~repro.core.cancel.CancelToken`; checked at
-        every vertex pair (dict path) / every ``CHECK_INTERVAL`` wedges
-        (columnar path) and raises
-        :class:`~repro.errors.RunCancelledError` when triggered.
+        every vertex pair (dict path) / every prefilter block (columnar
+        path) and raises :class:`~repro.errors.RunCancelledError` when
+        triggered.
 
     Returns
     -------
@@ -132,9 +142,9 @@ def sweep(
     """
     tracer = as_tracer(tracer)
     if isinstance(similarity_map, SimilarityColumns):
-        return _columnar_sweep(
-            graph, similarity_map, edge_order, record_changes, tracer, cancel
-        )
+        if not record_changes:
+            return _columnar_sweep(graph, similarity_map, edge_order, tracer, cancel)
+        similarity_map = similarity_map.to_similarity_map()
     sim = similarity_map if similarity_map is not None else compute_similarity_map(graph)
     with tracer.span("phase:sort", k1=sim.k1):
         pairs = sim.sorted_pairs()  # list L
@@ -161,6 +171,7 @@ def sweep(
                         r, outcome.c1, outcome.c2, outcome.parent, similarity
                     )
     tracer.count("merges", r)
+    tracer.count("wedges_replayed", sim.k2)
 
     return SweepResult(
         dendrogram=builder.build(),
@@ -177,46 +188,56 @@ def _columnar_sweep(
     graph: Graph,
     columns: SimilarityColumns,
     edge_order: Optional[Sequence[int]],
-    record_changes: bool,
     tracer,
     cancel: Optional[CancelToken] = None,
 ) -> SweepResult:
-    """Algorithm 2 over columnar input: same merges, vectorized setup.
+    """Algorithm 2 over columnar input: same merges, filtered replay.
 
-    The sort is one lexsort, the K2 wedge stream comes out as flat edge
-    arrays (no per-wedge ``graph.edge_id`` dict lookups); only the
-    inherently sequential MERGE loop stays in Python.
+    The sort is one lexsort and the K2 wedge stream comes out as flat
+    edge arrays.  The stream is cut into blocks; at each block start the
+    labels of array ``C`` are read in bulk and every wedge whose two
+    edges already share a cluster is dropped, since its MERGE could not
+    merge (clusters only coarsen).  Only the survivors, a few percent
+    of K2 on dense graphs, replay in order through the Python MERGE.
+    Merge records equal the per-pair loop's because ``c1``, ``c2`` and
+    ``parent`` are cluster minima; only the raw ``C`` values and the
+    ``changes``/``accesses`` counters differ.
     """
+    from repro.fast.batch_sweep import compress_labels
+
     with tracer.span("phase:sort", k1=columns.k1):
         columns = columns.sort_pairs()
     index = build_edge_index(graph, edge_order)
     chain = ChainArray(graph.num_edges)
     builder = DendrogramBuilder(graph.num_edges)
-    per_merge: Optional[List[int]] = [] if record_changes else None
 
     e1, e2 = wedge_edge_arrays(graph, columns)
     index_arr = np.asarray(index, dtype=np.int64)
-    c1_list = index_arr[e1].tolist() if len(e1) else []
-    c2_list = index_arr[e2].tolist() if len(e2) else []
-    sims_list = np.repeat(columns.sim, columns.pair_counts()).tolist()
+    sims = np.repeat(columns.sim, columns.pair_counts())
+    block = max(FILTER_BLOCK, graph.num_edges)
 
     r = 0
-    pos = 0
+    replayed = 0
     with tracer.span("phase:sweep"):
-        for i1, i2, similarity in zip(c1_list, c2_list, sims_list):
-            if cancel is not None and not pos % CHECK_INTERVAL:
+        for start in range(0, len(e1), block):
+            if cancel is not None:
                 cancel.raise_if_cancelled()
-            pos += 1
-            before = chain.changes
-            outcome = chain.merge(i1, i2)
-            if per_merge is not None:
-                per_merge.append(chain.changes - before)
-            if outcome.merged:
-                r += 1
-                builder.record(
-                    r, outcome.c1, outcome.c2, outcome.parent, similarity
-                )
+            labels = compress_labels(np.asarray(chain.raw()))
+            i1 = index_arr[e1[start:start + block]]
+            i2 = index_arr[e2[start:start + block]]
+            live = np.flatnonzero(labels[i1] != labels[i2])
+            replayed += len(live)
+            for a, b, similarity in zip(
+                i1[live].tolist(), i2[live].tolist(), sims[start + live].tolist()
+            ):
+                outcome = chain.merge(a, b)
+                if outcome.merged:
+                    r += 1
+                    builder.record(
+                        r, outcome.c1, outcome.c2, outcome.parent, similarity
+                    )
     tracer.count("merges", r)
+    tracer.count("wedges_replayed", replayed)
 
     return SweepResult(
         dendrogram=builder.build(),
@@ -225,5 +246,4 @@ def _columnar_sweep(
         num_levels=r,
         k1=columns.k1,
         k2=columns.k2,
-        per_merge_changes=per_merge,
     )

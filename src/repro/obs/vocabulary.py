@@ -83,6 +83,9 @@ COUNTERS: FrozenSet[str] = frozenset(
         "k1",
         "k2",
         "merges",
+        # Columnar fine sweep: wedges left after the block prefilter and
+        # replayed through MERGE (the dict loop replays all K2).
+        "wedges_replayed",
         "rollbacks",
         "jump_hits",
         "batch_rounds",

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import importlib
 import threading
 
 import pytest
 
-from repro.core.cancel import CHECK_INTERVAL, CancelToken
+from repro.core.cancel import CancelToken
 from repro.core.coarse import CoarseParams, coarse_sweep
 from repro.core.linkclust import LinkClustering
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
 from repro.errors import RunCancelledError
+from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.obs import MemorySink, Tracer
 from repro.obs.sinks import Sink
+
+# The module, not the ``sweep`` function ``repro.core`` re-exports.
+sweep_module = importlib.import_module("repro.core.sweep")
 
 
 @pytest.fixture()
@@ -56,10 +61,20 @@ class TestCancelToken:
         thread.join()
         assert seen.is_set() and token.cancelled()
 
-    def test_check_interval_is_sane(self):
-        # The columnar sweep checks every CHECK_INTERVAL wedges; keep it
-        # a power of two so the modulo stays cheap.
-        assert CHECK_INTERVAL > 0 and CHECK_INTERVAL & (CHECK_INTERVAL - 1) == 0
+
+class _TripOnCheckpoint(CancelToken):
+    """Cancels itself on its ``n``-th ``raise_if_cancelled()`` call."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.calls = 0
+
+    def raise_if_cancelled(self) -> None:
+        self.calls += 1
+        if self.calls == self.n:
+            self.cancel(f"checkpoint {self.n}")
+        super().raise_if_cancelled()
 
 
 class _CancelAfterRecords(Sink):
@@ -83,6 +98,24 @@ class TestSweepCancellation:
         token.cancel("before start")
         with pytest.raises(RunCancelledError, match="before start"):
             sweep(graph, sim, cancel=token)
+
+    def test_pre_cancelled_columnar_fine_sweep_raises(self, graph, monkeypatch):
+        monkeypatch.setattr(sweep_module, "FILTER_BLOCK", 7)
+        token = CancelToken()
+        token.cancel("before start")
+        with pytest.raises(RunCancelledError, match="before start"):
+            sweep(graph, fast_similarity_columns(graph), cancel=token)
+
+    def test_mid_sweep_columnar_cancel_raises(self, graph, monkeypatch):
+        # Small blocks give the columnar fine sweep one checkpoint per
+        # block; the token trips at the second, after one block ran.
+        monkeypatch.setattr(sweep_module, "FILTER_BLOCK", 7)
+        columns = fast_similarity_columns(graph)
+        assert columns.k2 > 2 * graph.num_edges  # three or more blocks
+        token = _TripOnCheckpoint(2)
+        with pytest.raises(RunCancelledError, match="checkpoint 2"):
+            sweep(graph, columns, cancel=token)
+        assert token.calls == 2
 
     def test_pre_cancelled_coarse_sweep_raises(self, graph):
         sim = compute_similarity_map(graph)

@@ -47,7 +47,8 @@ class TestDeclaredNames:
         # The serving daemon's job-lifecycle event.
         assert is_known_event("job:state")
         for counter in (
-            "k1", "k2", "merges", "rollbacks", "jump_hits", "batch_rounds",
+            "k1", "k2", "merges", "wedges_replayed", "rollbacks",
+            "jump_hits", "batch_rounds",
             "boundary_edges", "reconcile_rounds", "shard_bytes",
             "spill_runs", "bytes_spilled", "window_loads", "store_bytes",
             "mem_peak_rss",
