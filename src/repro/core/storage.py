@@ -27,15 +27,40 @@ Two build paths produce byte-identical files:
 
 * :meth:`MmapPairStore.build` starts from a materialized
   :class:`SimilarityColumns` (the parallel drivers' path — their hosts
-  already ran vectorized Phase I).
+  already ran vectorized Phase I).  Its sorted runs go back to back
+  into one ``runs.bin``; the merge reads each through a bounded buffer
+  refilled by ``os.pread`` on that file's one descriptor.
 * :meth:`MmapPairStore.build_streaming` starts from the *graph* and
-  never holds a K2-sized array: wedges are enumerated in budget-bounded
-  centre chunks, spilled as pair-rank-sorted runs, and merged
-  group-aligned — each pair's dot product is one
-  ``np.add.reduceat`` over its contiguous wedge slice, which reproduces
-  the oracle's pairwise summation bit for bit (``reduceat`` group sums
-  are a function of the group slice alone).  Only O(K1 + |E|) stays
-  resident; this is the serial mmap pipeline's init.
+  never holds a K2-sized array.  It runs in four steps over
+  budget-bounded centre chunks, each wedge enumerated as a pair of
+  CSR slots (``repro.fast.similarity._wedge_slots``):
+
+  1. *Pair table.*  Each chunk's distinct ``u * n + v`` keys that the
+     table lacks wait in a buffer, folded into the sorted table by one
+     sort only once the buffer outgrows ``max(chunk cap, len(table))``.
+  2. *Spill.*  Each chunk becomes one run of interleaved
+     ``(rank, c1, c2, wprod)`` int64 records (``wprod`` as float64
+     bits), stably sorted by pair rank and appended to one shared
+     ``wedges.runs``.  Edge ids come from the slots
+     (``index_arr[slot_eid[s]]``), with no edge-key search.
+  3. *Merge.*  Runs are merged window by window in rank order; a run is
+     read (one ``pread`` per refill) only when its head rank falls in
+     the window.  Each pair's dot product is one ``np.add.reduceat``
+     over its contiguous wedge slice, which reproduces the oracle's
+     summation bit for bit (``reduceat`` group sums are a function of
+     the group slice alone).  The grouped ``(c1, c2)`` stream goes to
+     ``wedges.tmp``.
+  4. *Assembly.*  Pass 3 and the final ``(-sim, u, v)`` sort run on K1
+     arrays; then each bounded window of final-order pairs is gathered
+     from ``wedges.tmp`` with one ``pread`` per pair into one buffer,
+     deinterleaved once, and written to the ``c1``/``c2`` sections.
+
+  Resident memory stays O(K1 + |E| + budget): the table, per-pair
+  counts and dots, the CSR arrays, budget-sized chunk and window
+  arrays, and one read buffer per run (the budget split across runs,
+  at least 8 KiB each).  Both builds keep a constant number of files
+  open, whatever the run count.  This is the serial mmap pipeline's
+  init.
 
 The single-file layout (``pairs.bin``) is::
 
@@ -53,9 +78,11 @@ memory block and its per-run publish copy.
 
 Observability: building a spilled store emits one ``storage:spill``
 span per run (``spill_runs`` / ``bytes_spilled`` counters) and one
-``storage:merge`` span; every bounded window fetch is a
-``storage:window`` span (``window_loads`` counter); both stores gauge
-``store_bytes``.
+``storage:merge`` span; the streaming build adds ``storage:table`` (CSR
+build and pair-table pass) and ``storage:assemble`` (pass 3 and the
+final file write), so its ``storage:*`` spans cover its whole build.
+Every bounded window fetch is a ``storage:window`` span
+(``window_loads`` counter); both stores gauge ``store_bytes``.
 """
 
 from __future__ import annotations
@@ -100,6 +127,10 @@ _PAIR_BYTES = 4 * _F8
 DEFAULT_WINDOW_BYTES = 4 * 1024 * 1024
 
 _MIN_WINDOW_BYTES = 64 * 1024
+
+# Smallest per-run read buffer of a merge: a budget split across very
+# many runs still reads whole pages, not single records.
+_MIN_RUN_BUFFER_BYTES = 8 * 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,29 +349,66 @@ class InMemoryPairStore(PairStore):
 
 
 class _RunFile:
-    """One spilled sorted run: six memmapped sections plus a cursor."""
+    """One spilled sorted run: a segment of the build's shared run file.
 
-    def __init__(self, path: str, k1: int, k2: int):
-        self.path = path
+    The segment holds the ``pairs.bin`` layout over the run's own k1/k2
+    from byte ``base``.  The merge reads it through a bounded buffer of
+    pairs (heads and wedge slices) that :meth:`head` refills with
+    ``os.pread`` on the one descriptor all runs share — no per-run file
+    or map stays open, whatever the run count.
+    """
+
+    def __init__(self, base: int, k1: int, k2: int):
+        self.base = base
         self.k1 = k1
-        self.k2 = k2
-        spec = PairFileSpec(path=path, k1=k1, k2=k2)
-        self.sim = spec.open_sim()
-        self.u = spec.open_u()
-        self.v = spec.open_v()
-        self.offsets = spec.open_offsets()
-        self.c1 = spec.open_c1()
-        self.c2 = spec.open_c2()
-        self.pos = 0
+        self.spec = PairFileSpec(path="", k1=k1, k2=k2)
+        self.pos = 0  # next pair to emit
+        self._lo = self._hi = 0  # the buffer holds pairs [_lo, _hi)
 
-    def key(self) -> Tuple[float, int, int]:
-        pos = self.pos
-        return (-float(self.sim[pos]), int(self.u[pos]), int(self.v[pos]))
+    def _read(
+        self, fd: int, section: int, first: int, count: int, dtype=np.int64
+    ) -> np.ndarray:
+        return _pread_array(fd, self.base + section + first * _F8, count, dtype)
 
-    def release(self) -> None:
-        # Dropping the memmap references unmaps; then the file can go.
-        self.sim = self.u = self.v = self.offsets = self.c1 = self.c2 = None  # type: ignore[assignment]
-        os.unlink(self.path)
+    def _refill(self, fd: int, buffer_bytes: int) -> None:
+        spec = self.spec
+        lo = self.pos
+        hi = min(self.k1, lo + max(1, buffer_bytes // _PAIR_BYTES))
+        off = self._read(fd, spec.offsets_offset, lo, hi - lo + 1)
+        # Whole pairs whose wedges fit the buffer (at least one pair).
+        fit = np.searchsorted(off, off[0] + buffer_bytes // _WEDGE_BYTES, "right")
+        hi = lo + max(1, min(hi - lo, int(fit) - 1))
+        self.sim = self._read(fd, spec.sim_offset, lo, hi - lo, np.float64)
+        self.u = self._read(fd, spec.u_offset, lo, hi - lo)
+        self.v = self._read(fd, spec.v_offset, lo, hi - lo)
+        w0, w1 = int(off[0]), int(off[hi - lo])
+        self.offsets = off[: hi - lo + 1] - w0
+        self.c1 = self._read(fd, spec.c1_offset, w0, w1 - w0)
+        self.c2 = self._read(fd, spec.c2_offset, w0, w1 - w0)
+        self._lo, self._hi = lo, hi
+
+    def head(self, fd: int, buffer_bytes: int) -> int:
+        """Buffer index of the next pair, refilling the buffer if spent."""
+        if self.pos >= self._hi:
+            self._refill(fd, buffer_bytes)
+        return self.pos - self._lo
+
+    def key(self, fd: int, buffer_bytes: int) -> Tuple[float, int, int]:
+        at = self.head(fd, buffer_bytes)
+        return (-float(self.sim[at]), int(self.u[at]), int(self.v[at]))
+
+
+def _pread_exact(fd: int, nbytes: int, offset: int) -> bytes:
+    """Exactly ``nbytes`` at byte ``offset`` of ``fd`` (one ``pread``)."""
+    data = os.pread(fd, nbytes, offset) if nbytes else b""
+    if len(data) != nbytes:
+        raise OSError(f"short read from spill file: {len(data)} of {nbytes} bytes")
+    return data
+
+
+def _pread_array(fd: int, offset: int, count: int, dtype) -> np.ndarray:
+    """``count`` 8-byte elements of ``dtype`` at byte ``offset`` of ``fd``."""
+    return np.frombuffer(_pread_exact(fd, count * _F8, offset), dtype=dtype)
 
 
 class _SectionWriter:
@@ -383,29 +451,35 @@ class _SectionWriter:
         self._buffered = 0
 
 
-# Streaming-build wedge record: rank + c1 + c2 (int64) + wprod (float64),
-# stored as four parallel sections per run file.
-_STREAM_RECORD_BYTES = 4 * _F8
+# Streaming-build wedge record: ``(rank, c1, c2, wprod)`` as four int64
+# words (``wprod``'s float64 bits in the last), interleaved one record
+# per wedge so a reader refill is one contiguous read.
+_RECORD_WORDS = 4
+_STREAM_RECORD_BYTES = _RECORD_WORDS * _F8
 
 
-def _center_chunks(indptr: np.ndarray, budget: Optional[int]) -> List[List[int]]:
-    """Partition wedge centres into budget-bounded enumeration chunks.
+def _stream_cap(budget: Optional[int]) -> int:
+    """Wedges one streaming step may hold: each buffered wedge costs ~2x
+    its record during a sort, so ``budget / (2 * record)``."""
+    effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
+    # Floor of 16 wedges: tiny test budgets still get multi-chunk spills
+    # without degenerating into one run per wedge.
+    return max(16, effective // (2 * _STREAM_RECORD_BYTES))
 
-    A centre of degree ``d`` contributes ``d * (d - 1) / 2`` wedges; each
-    buffered wedge costs ~2x its record during the chunk sort, so the
-    cap is ``budget / (2 * record)`` wedges.  Every chunk holds at least
-    one centre (a single high-degree centre may exceed the cap — the
-    same way a single pair can exceed a run budget in the columns path).
+
+def _center_chunks(indptr: np.ndarray, cap: int) -> List[List[int]]:
+    """Partition wedge centres into enumeration chunks of <= ``cap`` wedges.
+
+    A centre of degree ``d`` contributes ``d * (d - 1) / 2`` wedges.
+    Every chunk holds at least one centre (a single high-degree centre
+    may exceed the cap — the same way a single pair can exceed a run
+    budget in the columns path).
     """
     degrees = np.diff(indptr)
     centers = np.flatnonzero(degrees >= 2)
     if len(centers) == 0:
         return []
     wedge_counts = (degrees[centers] * (degrees[centers] - 1)) // 2
-    effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
-    # Floor of 16 wedges: tiny test budgets still get multi-chunk spills
-    # without degenerating into one run per wedge.
-    cap = max(16, effective // (2 * _STREAM_RECORD_BYTES))
     chunks: List[List[int]] = []
     current: List[int] = []
     spent = 0
@@ -421,180 +495,271 @@ def _center_chunks(indptr: np.ndarray, budget: Optional[int]) -> List[List[int]]
     return chunks
 
 
-def _spill_wedge_run(
-    path: str,
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``keys`` by one sort and one compare.
+
+    Same result as ``np.unique``, whose hash-based path in NumPy 2 is
+    more than 10x slower on these int64 key arrays.
+    """
+    keys = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _pair_table(
     indptr: np.ndarray,
     indices: np.ndarray,
-    weights: np.ndarray,
-    chunk: List[int],
-    table: np.ndarray,
+    chunks: List[List[int]],
     n: int,
-    key_table,
-    index_arr: np.ndarray,
-    counts: np.ndarray,
-) -> Optional["_WedgeRunReader"]:
-    """Enumerate one centre chunk and spill it as a rank-sorted run.
+    cap: int,
+    cancel: Optional[CancelToken],
+) -> np.ndarray:
+    """The global pair table: sorted unique ``u * n + v`` wedge keys.
 
-    Records are ``(rank, c1, c2, wprod)`` with ``rank`` the pair's index
-    in the global ``(u, v)`` table; the stable sort keeps each pair's
-    wedges in ascending-centre order.  ``counts`` accumulates per-pair
-    wedge counts in place.  Returns ``None`` for wedge-free chunks.
+    Each chunk's unique keys wait in a buffer that is folded into the
+    table (one sort of table + buffer) only once it outgrows
+    ``max(cap, len(table))`` — amortized O(K1 log K1) per doubling
+    instead of a full re-sort per chunk, and at most ~2x K1 resident.
     """
-    from repro.fast.similarity import _wedge_columns
+    from repro.fast.similarity import _wedge_slots
 
-    w_u, w_v, w_k, w_prod = _wedge_columns(indptr, indices, weights, vertices=chunk)
-    if len(w_u) == 0:
-        return None
-    rank = np.searchsorted(table, w_u * n + w_v)
-    order = np.argsort(rank, kind="stable")
-    rank = rank[order]
-    w_u = w_u[order]
-    w_v = w_v[order]
-    w_k = w_k[order]
-    w_prod = w_prod[order]
-    sorted_keys, eids, key_n = key_table
-    e1 = _lookup_edge_ids(sorted_keys, eids, key_n, w_u, w_k)
-    e2 = _lookup_edge_ids(sorted_keys, eids, key_n, w_v, w_k)
-    c1 = index_arr[e1]
-    c2 = index_arr[e2]
-    counts += np.bincount(rank, minlength=len(counts))
-    with open(path, "wb") as handle:
-        handle.write(rank.tobytes())
-        handle.write(np.ascontiguousarray(c1, dtype=np.int64).tobytes())
-        handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
-        handle.write(np.ascontiguousarray(w_prod, dtype=np.float64).tobytes())
-    return _WedgeRunReader(path, len(rank))
+    table = np.empty(0, dtype=np.int64)
+    pending: List[np.ndarray] = []
+    buffered = 0
+    for chunk in chunks:
+        if cancel is not None:
+            cancel.raise_if_cancelled()
+        _centers, lead, fan, s2 = _wedge_slots(indptr, chunk)
+        keys = _sorted_unique(np.repeat(indices[lead] * n, fan) + indices[s2])
+        if len(table):
+            # Keys the table already holds need no buffering.
+            pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+            keys = keys[table[pos] != keys]
+        pending.append(keys)
+        buffered += len(keys)
+        if buffered > max(cap, len(table)):
+            table = _sorted_unique(np.concatenate([table, *pending]))
+            pending = []
+            buffered = 0
+    if pending:
+        table = _sorted_unique(np.concatenate([table, *pending]))
+    return table
+
+
+def _window_end(offsets: np.ndarray, p0: int, elems: int) -> int:
+    """End of the pair window starting at ``p0``: whole pairs whose
+    wedges fit ``elems`` (at least one pair)."""
+    j = int(np.searchsorted(offsets, int(offsets[p0]) + elems, side="right"))
+    return min(len(offsets) - 1, max(p0 + 1, j - 1))
+
+
+def _group_starts(rank: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in non-empty ``rank``."""
+    change = np.empty(len(rank), dtype=bool)
+    change[0] = True
+    np.not_equal(rank[1:], rank[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+# Head rank of a fully read wedge run: past every merge window.
+_EXHAUSTED = np.iinfo(np.int64).max
 
 
 class _WedgeRunReader:
     """Sequential reader over one spilled wedge run (rank-sorted).
 
-    Refills a bounded record buffer with plain ``read`` calls — the run
-    is never mapped, so merge-time residency stays at the buffer size.
+    Every run of a build is a segment of one spill file, starting at
+    record ``base``.  A refill is one ``os.pread`` of whole records on
+    the shared descriptor into a bounded buffer — the run is never
+    mapped and holds no descriptor of its own, so open files stay
+    constant in the run count and merge-time residency stays at the
+    buffer size.  ``head`` is the rank of the next unread record, or
+    ``_EXHAUSTED`` (the merge skips runs whose head lies beyond its
+    window).
     """
 
-    def __init__(self, path: str, count: int, buffer_records: int = 1 << 14):
-        self.path = path
+    def __init__(self, base: int, count: int, head: int):
+        self.base = base
         self.count = count
-        self._handle = open(path, "rb")
-        self._buffer_records = buffer_records
-
-    def set_buffer_records(self, buffer_records: int) -> None:
-        """Shrink/grow the refill size (buffers allocate lazily, so the
-        merge can split the budget across however many runs spilled)."""
-        self._buffer_records = max(1, buffer_records)
+        self.head = head
         self._read = 0  # records fetched from disk
+        self._records = np.empty((0, _RECORD_WORDS), dtype=np.int64)
         self._rank = np.empty(0, dtype=np.int64)
-        self._c1 = np.empty(0, dtype=np.int64)
-        self._c2 = np.empty(0, dtype=np.int64)
-        self._wp = np.empty(0, dtype=np.float64)
         self._at = 0  # consumed prefix of the buffer
 
-    def _refill(self) -> bool:
-        take = min(self._buffer_records, self.count - self._read)
+    def _refill(self, fd: int, buffer_records: int) -> bool:
+        take = min(buffer_records, self.count - self._read)
         if take <= 0:
             return False
-        base = self._read
-        handle = self._handle
-        handle.seek(base * _F8)
-        self._rank = np.frombuffer(handle.read(take * _F8), dtype=np.int64)
-        handle.seek((self.count + base) * _F8)
-        self._c1 = np.frombuffer(handle.read(take * _F8), dtype=np.int64)
-        handle.seek((2 * self.count + base) * _F8)
-        self._c2 = np.frombuffer(handle.read(take * _F8), dtype=np.int64)
-        handle.seek((3 * self.count + base) * _F8)
-        self._wp = np.frombuffer(handle.read(take * _F8), dtype=np.float64)
+        offset = (self.base + self._read) * _STREAM_RECORD_BYTES
+        self._records = _pread_array(
+            fd, offset, take * _RECORD_WORDS, np.int64
+        ).reshape(take, _RECORD_WORDS)
+        self._rank = np.ascontiguousarray(self._records[:, 0])
         self._read += take
         self._at = 0
         return True
 
-    def pull(
-        self, rank_limit: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All remaining records with ``rank < rank_limit`` (in order)."""
-        rank_parts: List[np.ndarray] = []
-        c1_parts: List[np.ndarray] = []
-        c2_parts: List[np.ndarray] = []
-        wp_parts: List[np.ndarray] = []
+    def pull(self, fd: int, rank_limit: int, buffer_records: int) -> List[np.ndarray]:
+        """All remaining records with ``rank < rank_limit``, in order,
+        refilling ``buffer_records`` at a time."""
+        parts: List[np.ndarray] = []
         while True:
-            if self._at >= len(self._rank) and not self._refill():
+            if self._at >= len(self._rank) and not self._refill(fd, buffer_records):
+                self.head = _EXHAUSTED
                 break
-            stop = int(
+            stop = self._at + int(
                 np.searchsorted(self._rank[self._at :], rank_limit, side="left")
             )
-            if stop > 0:
-                sl = slice(self._at, self._at + stop)
-                rank_parts.append(self._rank[sl])
-                c1_parts.append(self._c1[sl])
-                c2_parts.append(self._c2[sl])
-                wp_parts.append(self._wp[sl])
-                self._at += stop
+            if stop > self._at:
+                parts.append(self._records[self._at : stop])
+                self._at = stop
             if self._at < len(self._rank):
+                self.head = int(self._rank[self._at])
                 break  # next record is >= rank_limit
-        if not rank_parts:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i, empty_i, np.empty(0, dtype=np.float64)
-        return (
-            np.concatenate(rank_parts),
-            np.concatenate(c1_parts),
-            np.concatenate(c2_parts),
-            np.concatenate(wp_parts),
-        )
+        return parts
 
-    def close(self) -> None:
-        self._handle.close()
-        if os.path.exists(self.path):
-            os.unlink(self.path)
+
+def _spill_wedge_run(
+    handle,
+    base: int,
+    csr: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    chunk: List[int],
+    table: np.ndarray,
+    n: int,
+    index_arr: np.ndarray,
+    counts: np.ndarray,
+) -> Optional[_WedgeRunReader]:
+    """Enumerate one centre chunk and append it as a rank-sorted run.
+
+    Records are ``(rank, c1, c2, wprod)`` with ``rank`` the pair's index
+    in the global ``(u, v)`` table and ``c1``/``c2`` read off the
+    wedge's two CSR slots (``index_arr[slot_eid[s]]`` — no edge-key
+    search); the stable sort keeps each pair's wedges in
+    ascending-centre order.  ``counts`` accumulates per-pair wedge
+    counts in place.  The run lands at record ``base`` of the shared
+    spill file behind ``handle``; returns ``None`` for wedge-free chunks.
+    """
+    from repro.fast.similarity import _wedge_slots
+
+    indptr, indices, weights, slot_eid = csr
+    _centers, lead, fan, s2 = _wedge_slots(indptr, chunk)
+    if len(s2) == 0:
+        return None
+    s1 = np.repeat(lead, fan)
+    rank = np.searchsorted(table, indices[s1] * n + indices[s2])
+    order = np.argsort(rank, kind="stable")
+    rank = rank[order]
+    s1 = s1[order]
+    s2 = s2[order]
+    records = np.empty((len(rank), _RECORD_WORDS), dtype=np.int64)
+    records[:, 0] = rank
+    records[:, 1] = index_arr[slot_eid[s1]]
+    records[:, 2] = index_arr[slot_eid[s2]]
+    records[:, 3] = (weights[s1] * weights[s2]).view(np.int64)
+    starts = _group_starts(rank)
+    counts[rank[starts]] += np.diff(np.append(starts, len(rank)))
+    handle.write(records.tobytes())
+    return _WedgeRunReader(base, len(rank), int(rank[0]))
 
 
 def _merge_wedge_runs(
+    fd: int,
     runs: List[_WedgeRunReader],
     offsets_uv: np.ndarray,
     dots: np.ndarray,
-    temp_path: str,
-    budget: Optional[int],
+    temp,
+    cap: int,
     cancel: Optional[CancelToken],
 ) -> None:
     """Merge rank-sorted runs into grouped order; reduce dots per pair.
 
     Runs cover disjoint ascending centre ranges, so the global
     ``(u, v, k)`` order is "by rank, runs in order, stable" — a stable
-    sort of each rank window's concatenated run slices.  Each window
-    holds whole groups, so ``np.add.reduceat`` over the window computes
-    every pair's dot product on its complete contiguous slice (bitwise
-    the oracle's group sums).  The grouped ``(c1, c2)`` stream goes to
-    ``temp_path`` interleaved, in pair-table order.
+    sort of each rank window's concatenated run slices.  Only runs
+    whose head lies inside the window are read.  Each window holds
+    whole groups, so ``np.add.reduceat`` over the window computes every
+    pair's dot product on its complete contiguous slice (bitwise the
+    oracle's group sums).  The grouped ``(c1, c2)`` stream goes to
+    ``temp`` interleaved, in pair-table order.
     """
     k1 = len(dots)
-    effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
-    window_elems = max(1024, effective // (2 * _STREAM_RECORD_BYTES))
-    with open(temp_path, "wb") as temp:
-        p0 = 0
-        while p0 < k1:
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            limit = int(offsets_uv[p0]) + window_elems
-            j = int(np.searchsorted(offsets_uv, limit, side="right"))
-            p1 = min(k1, max(p0 + 1, j - 1))
-            pulls = [run.pull(p1) for run in runs]
-            rank = np.concatenate([p[0] for p in pulls])
-            c1 = np.concatenate([p[1] for p in pulls])
-            c2 = np.concatenate([p[2] for p in pulls])
-            wp = np.concatenate([p[3] for p in pulls])
-            order = np.argsort(rank, kind="stable")
-            rank = rank[order]
-            wp = wp[order]
-            change = np.empty(len(rank), dtype=bool)
-            if len(rank):
-                change[0] = True
-                change[1:] = rank[1:] != rank[:-1]
-                starts = np.flatnonzero(change)
-                dots[rank[starts]] = np.add.reduceat(wp, starts)
-            interleaved = np.empty(2 * len(order), dtype=np.int64)
-            interleaved[0::2] = c1[order]
-            interleaved[1::2] = c2[order]
-            temp.write(interleaved.tobytes())
-            p0 = p1
+    window_elems = max(1024, cap)
+    # The budget split across the run readers: merge-time residency is
+    # runs x buffer, not runs x default.
+    buffer_records = max(
+        _MIN_RUN_BUFFER_BYTES // _STREAM_RECORD_BYTES, cap // max(1, len(runs))
+    )
+    heads = np.array([run.head for run in runs], dtype=np.int64)
+    p0 = 0
+    while p0 < k1:
+        if cancel is not None:
+            cancel.raise_if_cancelled()
+        p1 = _window_end(offsets_uv, p0, window_elems)
+        parts: List[np.ndarray] = []
+        for i in np.flatnonzero(heads < p1).tolist():
+            parts.extend(runs[i].pull(fd, p1, buffer_records))
+            heads[i] = runs[i].head
+        records = np.concatenate(parts)
+        records = records[np.argsort(records[:, 0], kind="stable")]
+        rank = records[:, 0]
+        wp = np.ascontiguousarray(records[:, 3]).view(np.float64)
+        starts = _group_starts(rank)
+        dots[rank[starts]] = np.add.reduceat(wp, starts)
+        temp.write(np.ascontiguousarray(records[:, 1:3]).tobytes())
+        p0 = p1
+
+
+def _assemble_wedges(
+    handle,
+    spec: PairFileSpec,
+    temp_fd: int,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    final_offsets: np.ndarray,
+    cap: int,
+    cancel: Optional[CancelToken],
+) -> None:
+    """Write the ``c1``/``c2`` sections in final pair order.
+
+    ``starts[p]``/``counts[p]`` locate final-order pair ``p``'s grouped
+    ``(c1, c2)`` block in the temp stream.  Each bounded window of
+    final-order pairs is gathered with one ``os.pread`` per pair (per
+    run of pairs that are also adjacent in the temp stream) into one
+    buffer, deinterleaved once, and written as two section slices.
+    """
+    k1 = len(counts)
+    window_elems = max(1024, cap)
+    p0 = 0
+    while p0 < k1:
+        if cancel is not None:
+            cancel.raise_if_cancelled()
+        p1 = _window_end(final_offsets, p0, window_elems)
+        w0 = int(final_offsets[p0])
+        w1 = int(final_offsets[p1])
+        s = starts[p0:p1]
+        c = counts[p0:p1]
+        first = np.flatnonzero(
+            np.concatenate(([True], s[1:] != s[:-1] + c[:-1]))
+        )
+        buf = bytearray((w1 - w0) * _WEDGE_BYTES)
+        pos = 0
+        for start, count in zip(
+            s[first].tolist(), np.add.reduceat(c, first).tolist()
+        ):
+            nbytes = count * _WEDGE_BYTES
+            buf[pos : pos + nbytes] = _pread_exact(
+                temp_fd, nbytes, start * _WEDGE_BYTES
+            )
+            pos += nbytes
+        block = np.frombuffer(buf, dtype=np.int64).reshape(-1, 2)
+        handle.seek(spec.c1_offset + w0 * _F8)
+        handle.write(np.ascontiguousarray(block[:, 0]).tobytes())
+        handle.seek(spec.c2_offset + w0 * _F8)
+        handle.write(np.ascontiguousarray(block[:, 1]).tobytes())
+        p0 = p1
 
 
 class MmapPairStore(PairStore):
@@ -694,15 +859,15 @@ class MmapPairStore(PairStore):
                 handle.write(np.ascontiguousarray(c1, dtype=np.int64).tobytes())
                 handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
             return spec
-        runs = cls._spill_runs(
-            graph, columns, index_arr, spill_dir, budget, tracer, cancel
-        )
+        runs_path = os.path.join(spill_dir, "runs.bin")
         try:
-            cls._merge_runs(runs, spec, tracer)
+            layouts = cls._spill_runs(
+                graph, columns, index_arr, runs_path, budget, tracer, cancel
+            )
+            cls._merge_runs(layouts, runs_path, spec, budget, tracer)
         finally:
-            for run in runs:
-                if os.path.exists(run.path):
-                    run.release()
+            if os.path.exists(runs_path):
+                os.unlink(runs_path)
         return spec
 
     @staticmethod
@@ -710,47 +875,52 @@ class MmapPairStore(PairStore):
         graph: Graph,
         columns: SimilarityColumns,
         index_arr: np.ndarray,
-        spill_dir: str,
+        runs_path: str,
         budget: int,
         tracer,
         cancel: Optional[CancelToken],
-    ) -> List[_RunFile]:
+    ) -> List[Tuple[int, int, int]]:
+        """Write budget-sized sorted runs back to back into ``runs_path``.
+
+        Returns each run's ``(base byte, k1, k2)``.
+        """
         k1 = columns.k1
         counts = columns.pair_counts()
         costs = _PAIR_BYTES + counts * _WEDGE_BYTES
         key_table = _edge_key_table(graph)
-        runs: List[_RunFile] = []
+        runs: List[Tuple[int, int, int]] = []
         start = 0
-        while start < k1:
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            stop = start + 1
-            spent = int(costs[start])
-            while stop < k1 and spent + int(costs[stop]) <= budget:
-                spent += int(costs[stop])
-                stop += 1
-            with tracer.span(
-                "storage:spill", run=len(runs), start=start, stop=stop
-            ):
-                path = os.path.join(spill_dir, f"run{len(runs)}.bin")
-                nbytes = MmapPairStore._write_run(
-                    path, graph, columns, index_arr, key_table, start, stop
+        with open(runs_path, "wb") as handle:
+            while start < k1:
+                if cancel is not None:
+                    cancel.raise_if_cancelled()
+                stop = start + 1
+                spent = int(costs[start])
+                while stop < k1 and spent + int(costs[stop]) <= budget:
+                    spent += int(costs[stop])
+                    stop += 1
+                with tracer.span(
+                    "storage:spill", run=len(runs), start=start, stop=stop
+                ):
+                    base = handle.tell()
+                    nbytes = MmapPairStore._write_run(
+                        handle, graph, columns, index_arr, key_table, start, stop
+                    )
+                tracer.count("spill_runs")
+                tracer.count("bytes_spilled", nbytes)
+                runs.append(
+                    (
+                        base,
+                        stop - start,
+                        int(columns.common_offsets[stop] - columns.common_offsets[start]),
+                    )
                 )
-            tracer.count("spill_runs")
-            tracer.count("bytes_spilled", nbytes)
-            runs.append(
-                _RunFile(
-                    path,
-                    stop - start,
-                    int(columns.common_offsets[stop] - columns.common_offsets[start]),
-                )
-            )
-            start = stop
+                start = stop
         return runs
 
     @staticmethod
     def _write_run(
-        path: str,
+        handle,
         graph: Graph,
         columns: SimilarityColumns,
         index_arr: np.ndarray,
@@ -758,11 +928,10 @@ class MmapPairStore(PairStore):
         start: int,
         stop: int,
     ) -> int:
-        """Sort pairs ``[start, stop)`` and write them as one run file.
+        """Sort pairs ``[start, stop)`` and append them as one run.
 
-        Run files use the ``pairs.bin`` layout over the run's own k1/k2,
-        so the merge reads them through the same :class:`PairFileSpec`
-        machinery.
+        A run uses the ``pairs.bin`` layout over its own k1/k2, so the
+        merge locates its sections through :class:`PairFileSpec`.
         """
         sorted_keys, eids, n = key_table
         u = columns.u[start:stop]
@@ -790,28 +959,36 @@ class MmapPairStore(PairStore):
         else:
             c1 = np.empty(0, dtype=np.int64)
             c2 = np.empty(0, dtype=np.int64)
-        with open(path, "wb") as handle:
-            handle.write(np.ascontiguousarray(sim[order]).tobytes())
-            handle.write(np.ascontiguousarray(u[order]).tobytes())
-            handle.write(np.ascontiguousarray(v[order]).tobytes())
-            handle.write(run_offsets.tobytes())
-            handle.write(np.ascontiguousarray(c1, dtype=np.int64).tobytes())
-            handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
+        handle.write(np.ascontiguousarray(sim[order]).tobytes())
+        handle.write(np.ascontiguousarray(u[order]).tobytes())
+        handle.write(np.ascontiguousarray(v[order]).tobytes())
+        handle.write(run_offsets.tobytes())
+        handle.write(np.ascontiguousarray(c1, dtype=np.int64).tobytes())
+        handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
         return (stop - start) * _PAIR_BYTES + _F8 + total * _WEDGE_BYTES
 
     @staticmethod
-    def _merge_runs(runs: List[_RunFile], spec: PairFileSpec, tracer) -> None:
+    def _merge_runs(
+        layouts: List[Tuple[int, int, int]],
+        runs_path: str,
+        spec: PairFileSpec,
+        budget: int,
+        tracer,
+    ) -> None:
         """k-way merge of the sorted runs into the final ``pairs.bin``.
 
         The heap key ``(-sim, u, v)`` is a strict total order over pairs
         (``(u, v)`` is unique), so the output equals the one-lexsort
         oracle order exactly, duplicate similarities included.  Only the
-        run heads and bounded write buffers are resident.
+        runs' read buffers (the budget split across runs) and bounded
+        write buffers are resident; two files are open.
         """
+        runs = [_RunFile(*layout) for layout in layouts]
+        buffer_bytes = max(_MIN_RUN_BUFFER_BYTES, budget // len(runs))
         with tracer.span("storage:merge", runs=len(runs), k1=spec.k1):
-            with open(spec.path, "wb") as handle:
+            with open(runs_path, "rb") as source, open(spec.path, "wb") as handle:
+                fd = source.fileno()
                 handle.truncate(spec.total_bytes)
-            with open(spec.path, "r+b") as handle:
                 sim_w = _SectionWriter(handle, spec.sim_offset, np.float64)
                 u_w = _SectionWriter(handle, spec.u_offset, np.int64)
                 v_w = _SectionWriter(handle, spec.v_offset, np.int64)
@@ -819,27 +996,25 @@ class MmapPairStore(PairStore):
                 c1_w = _SectionWriter(handle, spec.c1_offset, np.int64)
                 c2_w = _SectionWriter(handle, spec.c2_offset, np.int64)
                 off_w.append_scalar(0)
-                heap = [
-                    (run.key(), idx) for idx, run in enumerate(runs) if run.k1
-                ]
+                heap = [(run.key(fd, buffer_bytes), idx) for idx, run in enumerate(runs)]
                 heapq.heapify(heap)
                 wedge_cursor = 0
                 while heap:
                     (_key, idx) = heapq.heappop(heap)
                     run = runs[idx]
-                    pos = run.pos
-                    sim_w.append(run.sim[pos : pos + 1])
-                    u_w.append(run.u[pos : pos + 1])
-                    v_w.append(run.v[pos : pos + 1])
-                    w0 = int(run.offsets[pos])
-                    w1 = int(run.offsets[pos + 1])
+                    at = run.head(fd, buffer_bytes)
+                    sim_w.append(run.sim[at : at + 1])
+                    u_w.append(run.u[at : at + 1])
+                    v_w.append(run.v[at : at + 1])
+                    w0 = int(run.offsets[at])
+                    w1 = int(run.offsets[at + 1])
                     c1_w.append(run.c1[w0:w1])
                     c2_w.append(run.c2[w0:w1])
                     wedge_cursor += w1 - w0
                     off_w.append_scalar(wedge_cursor)
                     run.pos += 1
                     if run.pos < run.k1:
-                        heapq.heappush(heap, (run.key(), idx))
+                        heapq.heappush(heap, (run.key(fd, buffer_bytes), idx))
                 for writer in (sim_w, u_w, v_w, off_w, c1_w, c2_w):
                     writer.flush()
 
@@ -897,24 +1072,17 @@ class MmapPairStore(PairStore):
             _csr_arrays,
             _h_arrays_columnar,
             _tanimoto,
-            _wedge_columns,
         )
 
-        indptr, indices, weights = _csr_arrays(graph)
-        h1, h2 = _h_arrays_columnar(indptr, weights)
+        cap = _stream_cap(budget)
         n = max(1, graph.num_vertices)
-        chunks = _center_chunks(indptr, budget)
-
-        # Sweep A: the global pair table (sorted packed u * n + v keys).
+        # Pass A: the global pair table (sorted packed u * n + v keys).
         # K1-sized — within the paper's O(K2 + |E|) bound, K2-free.
-        table = np.empty(0, dtype=np.int64)
-        for chunk in chunks:
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            w_u, w_v, _w_k, _w_p = _wedge_columns(
-                indptr, indices, weights, vertices=chunk
-            )
-            table = np.union1d(table, w_u * n + w_v)
+        with tracer.span("storage:table"):
+            csr = _csr_arrays(graph)
+            indptr, indices, weights, _slot_eid = csr
+            chunks = _center_chunks(indptr, cap)
+            table = _pair_table(indptr, indices, chunks, n, cap, cancel)
         k1 = len(table)
         spec = PairFileSpec(
             path=os.path.join(spill_dir, "pairs.bin"), k1=k1, k2=0
@@ -924,84 +1092,80 @@ class MmapPairStore(PairStore):
                 handle.write(np.zeros(1, dtype=np.int64).tobytes())
             return spec
 
-        # Sweep B: spill one rank-sorted wedge run per chunk.  A stable
-        # sort keeps each pair's wedges in ascending-centre order — the
-        # order the oracle's (u, v, k) lexsort produces.
+        # Pass B: append one rank-sorted wedge run per chunk to the
+        # shared spill file, then merge the runs window by window into
+        # the grouped temp stream.  A stable sort keeps each pair's
+        # wedges in ascending-centre order — the order the oracle's
+        # (u, v, k) lexsort produces.
         counts = np.zeros(k1, dtype=np.int64)
-        key_table = _edge_key_table(graph)
-        runs: List[_WedgeRunReader] = []
+        runs_path = os.path.join(spill_dir, "wedges.runs")
+        temp_path = os.path.join(spill_dir, "wedges.tmp")
+        dots = np.empty(k1, dtype=np.float64)
         try:
-            for chunk in chunks:
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                with tracer.span(
-                    "storage:spill", run=len(runs), centers=len(chunk)
-                ):
-                    path = os.path.join(spill_dir, f"wedges{len(runs)}.bin")
-                    run = _spill_wedge_run(
-                        path, indptr, indices, weights, chunk,
-                        table, n, key_table, index_arr, counts,
-                    )
-                if run is None:
-                    continue
-                tracer.count("spill_runs")
-                tracer.count("bytes_spilled", run.count * _STREAM_RECORD_BYTES)
-                runs.append(run)
+            runs: List[_WedgeRunReader] = []
+            with open(runs_path, "wb") as handle:
+                base = 0
+                for chunk in chunks:
+                    if cancel is not None:
+                        cancel.raise_if_cancelled()
+                    with tracer.span(
+                        "storage:spill", run=len(runs), centers=len(chunk)
+                    ):
+                        run = _spill_wedge_run(
+                            handle, base, csr, chunk, table, n, index_arr, counts
+                        )
+                    if run is None:
+                        continue
+                    tracer.count("spill_runs")
+                    tracer.count("bytes_spilled", run.count * _STREAM_RECORD_BYTES)
+                    runs.append(run)
+                    base += run.count
             offsets_uv = np.zeros(k1 + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets_uv[1:])
-            k2 = int(offsets_uv[-1])
-            spec = PairFileSpec(path=spec.path, k1=k1, k2=k2)
-            dots = np.empty(k1, dtype=np.float64)
-            temp_path = os.path.join(spill_dir, "wedges.tmp")
-            # Split the budget across the run readers: merge-time
-            # residency is runs x buffer, not runs x default.
-            effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
-            per_run = effective // (max(1, len(runs)) * 2 * _STREAM_RECORD_BYTES)
-            for run in runs:
-                run.set_buffer_records(max(256, per_run))
             with tracer.span("storage:merge", runs=len(runs), k1=k1):
-                _merge_wedge_runs(
-                    runs, offsets_uv, dots, temp_path, budget, cancel
-                )
-        finally:
-            for run in runs:
-                run.close()
-
-        # Pass 3 + finalize on K1 arrays only: adjacency correction,
-        # Tanimoto, the final (-sim, u, v) sort, and the file sections.
-        pair_u = table // n
-        pair_v = table % n
-        dots = dots + (h1[pair_u] + h1[pair_v]) * _adjacency_weights(
-            graph, pair_u, pair_v
-        )
-        sims = _tanimoto(h2, pair_u, pair_v, dots)
-        order = np.lexsort((pair_v, pair_u, -sims))
-        final_counts = counts[order]
-        final_offsets = np.zeros(k1 + 1, dtype=np.int64)
-        np.cumsum(final_counts, out=final_offsets[1:])
-        with open(spec.path, "wb") as handle:
-            handle.truncate(spec.total_bytes)
-            handle.write(np.ascontiguousarray(sims[order]).tobytes())
-            handle.write(np.ascontiguousarray(pair_u[order]).tobytes())
-            handle.write(np.ascontiguousarray(pair_v[order]).tobytes())
-            handle.write(final_offsets.tobytes())
-            c1_w = _SectionWriter(handle, spec.c1_offset, np.int64)
-            c2_w = _SectionWriter(handle, spec.c2_offset, np.int64)
-            with open(temp_path, "rb") as temp:
-                starts_uv = offsets_uv[order].tolist()
-                counts_list = final_counts.tolist()
-                for start, count in zip(starts_uv, counts_list):
-                    if count == 0:
-                        continue
-                    temp.seek(start * _WEDGE_BYTES)
-                    pair_block = np.frombuffer(
-                        temp.read(count * _WEDGE_BYTES), dtype=np.int64
+                with open(runs_path, "rb") as source, open(temp_path, "wb") as temp:
+                    _merge_wedge_runs(
+                        source.fileno(), runs, offsets_uv, dots, temp, cap, cancel
                     )
-                    c1_w.append(pair_block[0::2])
-                    c2_w.append(pair_block[1::2])
-            c1_w.flush()
-            c2_w.flush()
-        os.unlink(temp_path)
+            os.unlink(runs_path)
+
+            # Pass 3 + assembly on K1 arrays: adjacency correction,
+            # Tanimoto, the final (-sim, u, v) sort, and the file sections.
+            with tracer.span("storage:assemble", k1=k1):
+                h1, h2 = _h_arrays_columnar(indptr, weights)
+                pair_u = table // n
+                pair_v = table % n
+                dots = dots + (h1[pair_u] + h1[pair_v]) * _adjacency_weights(
+                    graph, pair_u, pair_v
+                )
+                sims = _tanimoto(h2, pair_u, pair_v, dots)
+                order = np.lexsort((pair_v, pair_u, -sims))
+                final_counts = counts[order]
+                final_offsets = np.zeros(k1 + 1, dtype=np.int64)
+                np.cumsum(final_counts, out=final_offsets[1:])
+                spec = PairFileSpec(
+                    path=spec.path, k1=k1, k2=int(final_offsets[-1])
+                )
+                with open(spec.path, "wb") as handle, open(temp_path, "rb") as temp:
+                    handle.truncate(spec.total_bytes)
+                    handle.write(np.ascontiguousarray(sims[order]).tobytes())
+                    handle.write(np.ascontiguousarray(pair_u[order]).tobytes())
+                    handle.write(np.ascontiguousarray(pair_v[order]).tobytes())
+                    handle.write(final_offsets.tobytes())
+                    _assemble_wedges(
+                        handle,
+                        spec,
+                        temp.fileno(),
+                        offsets_uv[order],
+                        final_counts,
+                        final_offsets,
+                        cap,
+                        cancel,
+                    )
+        finally:
+            for path in (runs_path, temp_path):
+                if os.path.exists(path):
+                    os.unlink(path)
         return spec
 
     # ------------------------------------------------------------------

@@ -5,11 +5,13 @@ pair (K2 of them) — the dominant cost of the initialization phase at
 scale.  This module computes the same map columnar-natively:
 
 * ``H1``/``H2`` are bincount reductions over the edge arrays;
-* all wedges are enumerated per centre vertex with cached
-  ``np.triu_indices`` templates, then grouped by vertex pair with one
-  lexsort + segment-reduce (``np.add.reduceat``) — the grouped wedge
-  products are exactly map ``M``'s accumulated dot products and the
-  grouped witness columns are its common-neighbour lists;
+* all wedges are enumerated as pairs of CSR slots in each centre's
+  row, with no per-centre Python loop (a slot also names its edge,
+  which the streaming out-of-core build uses), then grouped by vertex
+  pair with one lexsort + segment-reduce (``np.add.reduceat``) — the
+  grouped wedge products are exactly map ``M``'s accumulated dot
+  products and the grouped witness columns are its common-neighbour
+  lists;
 * the adjacency correction ``(H1[i]+H1[j]) w_ij`` is a vectorized
   binary search over the sorted edge keys;
 * the Tanimoto normalization is an elementwise array expression.
@@ -25,7 +27,7 @@ relative tolerance on every graph family.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,25 +64,17 @@ def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
 # columnar building blocks (shared with repro.parallel.par_init)
 # ----------------------------------------------------------------------
 
-# Degree -> (iu, ju) upper-triangle index template.  Distinct degrees are
-# bounded by the graph's maximum degree, so the cache stays small; entries
-# are immutable and writes idempotent (thread-safe by construction).
-_TRIU_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _triu_template(d: int) -> Tuple[np.ndarray, np.ndarray]:
-    template = _TRIU_CACHE.get(d)
-    if template is None:
-        template = np.triu_indices(d, k=1)
-        _TRIU_CACHE[d] = template  # repro: noqa PAR101 (idempotent memo)
-    return template
-
-
-def _csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR adjacency as plain arrays ``(indptr, indices, weights)``.
+def _csr_arrays(
+    graph: Graph,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency as plain arrays ``(indptr, indices, weights, slot_eid)``.
 
     Neighbour lists are sorted ascending within each row (matching the
     reference's ``sorted(graph.neighbors(i).items())`` enumeration).
+    ``slot_eid[s]`` is the edge id behind CSR slot ``s``: each edge
+    fills one slot in each endpoint's row, so a wedge's two edge ids
+    come straight from its two slots (:func:`_wedge_slots`).
     """
     n = graph.num_vertices
     m = graph.num_edges
@@ -94,13 +88,15 @@ def _csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     src = np.concatenate([eu, ev])
     dst = np.concatenate([ev, eu])
     wts = np.concatenate([ew, ew])
+    # Directed entry j < m is edge j read u -> v, entry m + j the same
+    # edge read v -> u; ``order % m`` maps slots back to edge ids.
     order = np.lexsort((dst, src))
     indices = dst[order]
     weights = wts[order]
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, indices, weights
+    return indptr, indices, weights, order % max(m, 1)
 
 
 def _h_arrays_columnar(
@@ -126,47 +122,64 @@ def _h_arrays_columnar(
     return h1, h2
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + length)`` over the pairs."""
+    ends = np.cumsum(lengths)
+    out = np.repeat(starts - (ends - lengths), lengths)
+    out += np.arange(len(out))
+    return out
+
+
+def _wedge_slots(
+    indptr: np.ndarray, vertices: Optional[Sequence[int]] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 2 (step one): every wedge centred on ``vertices`` as CSR slots.
+
+    Returns ``(centers, lead, fan, s2)``.  ``centers`` are the centres of
+    degree >= 2, in the given order (ascending for ``None``, which
+    enumerates all of them).  Wedges come in one run per *lead* slot:
+    ``lead[r]`` pairs with each of the ``fan[r]`` slots after it in its
+    centre's row, listed run by run in ``s2``.  So wedge ``w`` joins
+    slots ``s1[w] < s2[w]`` with ``s1 = np.repeat(lead, fan)`` — centre
+    by centre, each in ``np.triu_indices`` (row-major) order — and a
+    per-slot column expands to the first endpoints as
+    ``np.repeat(col[lead], fan)`` without a K2-long gather.  Slots index
+    ``indices`` (endpoints), ``weights`` (edge weights) and ``slot_eid``
+    (edge ids) alike.
+    """
+    degrees = np.diff(indptr)
+    if vertices is None:
+        centers = np.flatnonzero(degrees >= 2)
+    else:
+        centers = np.asarray(vertices, dtype=np.int64)
+        centers = centers[degrees[centers] >= 2]
+    # Every slot of a centre's row but the last leads a run.
+    leads_per_center = degrees[centers] - 1
+    lead = _ranges(indptr[centers], leads_per_center)
+    fan = np.repeat(indptr[centers + 1], leads_per_center) - lead - 1
+    return centers, lead, fan, _ranges(lead + 1, fan)
+
+
 def _wedge_columns(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
     vertices: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pass 2 (step one): every wedge centred on ``vertices`` as columns.
+    """Every wedge centred on ``vertices`` as columns.
 
     Returns ``(u, v, k, wprod)`` with ``u < v`` the outer endpoints,
     ``k`` the centre, and ``wprod = w_uk * w_vk`` — one row per incident
-    edge pair.  ``vertices`` restricts the centres (the parallel init's
-    unit of work); ``None`` enumerates all of them.
+    edge pair, in :func:`_wedge_slots` order.  ``vertices`` restricts
+    the centres (the parallel init's unit of work); ``None`` enumerates
+    all of them.
     """
-    iptr = indptr.tolist()
-    if vertices is None:
-        degrees = np.diff(indptr)
-        centers = np.flatnonzero(degrees >= 2).tolist()
-    else:
-        centers = [k for k in vertices if iptr[k + 1] - iptr[k] >= 2]
-    u_parts: List[np.ndarray] = []
-    v_parts: List[np.ndarray] = []
-    k_parts: List[np.ndarray] = []
-    w_parts: List[np.ndarray] = []
-    for k in centers:
-        s, e = iptr[k], iptr[k + 1]
-        nbrs = indices[s:e]
-        wts = weights[s:e]
-        iu, ju = _triu_template(e - s)
-        u_parts.append(nbrs[iu])
-        v_parts.append(nbrs[ju])
-        k_parts.append(np.full(len(iu), k, dtype=np.int64))
-        w_parts.append(wts[iu] * wts[ju])
-    if not u_parts:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), empty_i.copy(), np.empty(0, dtype=np.float64)
-    return (
-        np.concatenate(u_parts),
-        np.concatenate(v_parts),
-        np.concatenate(k_parts),
-        np.concatenate(w_parts),
-    )
+    centers, lead, fan, s2 = _wedge_slots(indptr, vertices)
+    degrees = indptr[centers + 1] - indptr[centers]
+    k = np.repeat(centers, degrees * (degrees - 1) // 2)
+    u = np.repeat(indices[lead], fan)
+    wprod = np.repeat(weights[lead], fan) * weights[s2]
+    return u, indices[s2], k, wprod
 
 
 def _group_wedges(
@@ -271,7 +284,7 @@ def fast_similarity_columns(graph: Graph, tracer=None) -> SimilarityColumns:
     """
     tracer = as_tracer(tracer)
     with tracer.span("init:pass1"):
-        indptr, indices, weights = _csr_arrays(graph)
+        indptr, indices, weights, _slot_eid = _csr_arrays(graph)
         h1, h2 = _h_arrays_columnar(indptr, weights)
     with tracer.span("init:pass2"):
         pair_u, pair_v, dots, offsets, commons = _group_wedges(

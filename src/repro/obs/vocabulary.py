@@ -55,9 +55,13 @@ SPANS: FrozenSet[str] = frozenset(
         "runtime:compute",
         "runtime:merge",
         # Out-of-core pair store: one spill span per sorted run, one
-        # merge span per build, one window span per bounded read.
+        # merge span per build, one window span per bounded read; the
+        # streaming build adds its pair-table pass and its final
+        # assembly (pass 3 + the pairs.bin write).
+        "storage:table",
         "storage:spill",
         "storage:merge",
+        "storage:assemble",
         "storage:window",
         "figure:*",
     }

@@ -75,7 +75,8 @@ def _pass2_columnar_worker(
     """Columnar pass 2, step one: this vertex set's wedges as arrays."""
     from repro.fast.similarity import _csr_arrays, _wedge_columns
 
-    return _wedge_columns(*_csr_arrays(graph), vertices=vertices)
+    indptr, indices, weights, _slot_eid = _csr_arrays(graph)
+    return _wedge_columns(indptr, indices, weights, vertices=vertices)
 
 
 def _pass3_worker(

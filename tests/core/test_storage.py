@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,4 +506,137 @@ class TestStreamingInit:
                 memory_budget_bytes=64,
                 cancel=token,
             )
+        assert os.listdir(str(tmp_path)) == []
+
+
+class TestStreamingTrace:
+    def test_storage_spans_cover_phase_sort(self, tmp_path):
+        # Every step of the streaming build sits under a storage:* span:
+        # table pass, spills, merge, assembly.  A warm-up build keeps
+        # one-time imports out of the measured phase:sort.
+        settings = StorageSettings(
+            kind="mmap", storage_dir=str(tmp_path), memory_budget_bytes=1 << 16
+        )
+        coarse_sweep(generators.caveman_graph(3, 4), None, storage=settings)
+        graph = generators.caveman_graph(
+            20, 30, weight=generators.random_weights(seed=1)
+        )
+        sink = MemorySink()
+        coarse_sweep(
+            graph,
+            None,
+            params=CoarseParams(),
+            engine="batch",
+            tracer=Tracer([sink]),
+            storage=settings,
+        )
+        (sort,) = [s for s in sink.spans if s.name == "phase:sort"]
+        children = [s for s in sink.spans if s.parent == "phase:sort"]
+        assert {s.name for s in children} == {
+            "storage:table",
+            "storage:spill",
+            "storage:merge",
+            "storage:assemble",
+        }
+        assert sort.duration >= 0.05
+        covered = sum(s.duration for s in children)
+        assert covered >= 0.9 * sort.duration, (covered, sort.duration)
+
+
+_FD_LIMIT_SCRIPT = """
+import os, resource, sys
+import numpy as np
+from repro.core.cancel import CancelToken
+from repro.core.storage import MmapPairStore
+from repro.core.sweep import build_edge_index
+from repro.errors import RunCancelledError
+from repro.fast.similarity import fast_similarity_columns
+from repro.graph import generators
+from repro.obs import MemorySink, Tracer
+
+root, soft = sys.argv[1], int(sys.argv[2])
+graph = generators.caveman_graph(8, 10, weight=generators.random_weights(seed=3))
+columns = fast_similarity_columns(graph)
+index_arr = np.asarray(build_edge_index(graph, None), dtype=np.int64)
+reference = MmapPairStore.build(graph, columns, index_arr, storage_dir=root)
+with open(reference.file_spec().path, "rb") as handle:
+    want = handle.read()
+reference.close()
+resource.setrlimit(
+    resource.RLIMIT_NOFILE, (soft, resource.getrlimit(resource.RLIMIT_NOFILE)[1])
+)
+
+
+class TripAt(CancelToken):
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+        self.calls = 0
+
+    def raise_if_cancelled(self):
+        self.calls += 1
+        if self.calls == self.n:
+            self.cancel("checkpoint %d" % self.n)
+        super().raise_if_cancelled()
+
+
+builds = {
+    "build": (lambda **kw: MmapPairStore.build(graph, columns, index_arr, **kw), 1),
+    "streaming": (lambda **kw: MmapPairStore.build_streaming(graph, index_arr, **kw), 64),
+}
+for name, (build, budget) in builds.items():
+    tracer = Tracer([MemorySink()])
+    store = build(storage_dir=root, memory_budget_bytes=budget, tracer=tracer)
+    runs = tracer.counters["spill_runs"]
+    with open(store.file_spec().path, "rb") as handle:
+        same = handle.read() == want
+    store.close()
+    assert os.listdir(root) == [], (name, os.listdir(root))
+    # Checkpoints: one per run while spilling (the streaming build also
+    # passes one per chunk in its table pass and one per merge window).
+    trips = [runs // 2] if name == "build" else [runs + runs // 2, 2 * runs + 2]
+    for trip in trips:
+        try:
+            build(storage_dir=root, memory_budget_bytes=budget, cancel=TripAt(trip))
+        except RunCancelledError:
+            pass
+        else:
+            raise AssertionError("%s: checkpoint %d never reached" % (name, trip))
+        assert os.listdir(root) == [], (name, trip, os.listdir(root))
+    print(name, runs, same)
+"""
+
+
+class TestOpenFileBound:
+    """Open files stay constant in the spilled run count.
+
+    A child process lowers its soft ``RLIMIT_NOFILE`` below the number
+    of runs both builds spill, then checks that each build succeeds with
+    the unspilled file's bytes and leaves ``storage_dir`` empty after
+    ``close()`` and after a cancel mid-spill (and mid-merge).
+    """
+
+    def test_builds_survive_fd_limit_below_run_count(self, tmp_path):
+        pytest.importorskip("resource")
+        soft = 32
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _FD_LIMIT_SCRIPT, str(tmp_path), str(soft)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = dict(
+            (name, (int(runs), same))
+            for name, runs, same in (line.split() for line in proc.stdout.splitlines())
+        )
+        assert set(lines) == {"build", "streaming"}
+        for name, (runs, same) in lines.items():
+            assert runs > soft, name
+            assert same == "True", name
         assert os.listdir(str(tmp_path)) == []

@@ -33,8 +33,10 @@ class TestDeclaredNames:
             "runtime:merge",
             "sweep:batch_round",
             "sweep:reconcile",
+            "storage:table",
             "storage:spill",
             "storage:merge",
+            "storage:assemble",
             "storage:window",
         ):
             assert name in SPANS, name
