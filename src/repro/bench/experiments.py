@@ -342,8 +342,8 @@ def fig6_1_init_speedup(
     """Figure 6(1): initialization-phase speedup vs thread count.
 
     Paper's shape (6-core Xeon): ~2.0x at 2 threads, 3.5-4.0x at 4,
-    4.5-5.0x at 6, comparable across alpha.  This sandbox has one core,
-    so speedups come from the deterministic work model (see
+    4.5-5.0x at 6, comparable across alpha.  The measuring machine has
+    2 cores, so speedups are extrapolated by the deterministic work model (see
     ``repro.parallel.workmodel``); the thread/process backends verify the
     concurrent code paths' correctness in the test suite.
     """

@@ -17,6 +17,8 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.cluster.unionfind import DisjointSet
 from repro.errors import ClusteringError
 
@@ -179,6 +181,24 @@ class DendrogramBuilder:
         similarity: Optional[float] = None,
     ) -> None:
         self._merges.append(Merge(level, left, right, parent, similarity))
+
+    def record_level(
+        self, level: int, left: Sequence[int], right: Sequence[int]
+    ) -> None:
+        """Record ``left[k], right[k] -> min(left[k], right[k])`` in order.
+
+        The bulk form of :meth:`record` for engines whose level records
+        come from a partition diff (no per-merge similarity): one call
+        per level instead of one per merge.  Accepts lists or integer
+        arrays; ids are stored as Python ints.
+        """
+        lefts = np.asarray(left, dtype=np.int64).tolist()
+        rights = np.asarray(right, dtype=np.int64).tolist()
+        if len(lefts) != len(rights):
+            raise ClusteringError("left/right must have equal length")
+        self._merges.extend(
+            Merge(level, a, b, a if a < b else b) for a, b in zip(lefts, rights)
+        )
 
     @property
     def num_merges(self) -> int:

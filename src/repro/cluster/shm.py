@@ -164,12 +164,26 @@ class NumpyChainArray:
         n = len(self._c)
         return int(np.count_nonzero(self._c == np.arange(n, dtype=np.int64)))
 
+    def cluster_roots(self) -> np.ndarray:
+        """Root id of every cluster, ascending (one vectorized scan)."""
+        c = self._c
+        return np.flatnonzero(c == np.arange(len(c), dtype=np.int64))
+
     def labels(self) -> List[int]:
         return [self.find(i) for i in range(len(self._c))]
 
     def raw(self) -> np.ndarray:
         """The underlying buffer (mutating it voids all invariants)."""
         return self._c
+
+    def copy(self) -> "NumpyChainArray":
+        """Deep copy with the same counters (epoch snapshots, rollback)."""
+        dup = NumpyChainArray.__new__(NumpyChainArray)
+        dup._c = self._c.copy()
+        dup._clusters = self._clusters
+        dup._changes = self._changes
+        dup._accesses = self._accesses
+        return dup
 
     def copy_into(self, buffer: np.ndarray) -> "NumpyChainArray":
         """Duplicate this array's state into ``buffer`` (no allocation)."""

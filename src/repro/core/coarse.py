@@ -35,16 +35,29 @@ Implementation notes (documented deviations, none behavioural):
   state is reusable from any earlier position; its pending merge records
   carry their list position so a jump emits exactly the not-yet-emitted
   ones.
+
+State representation: the chained engine keeps array ``C`` as the
+paper's list-based :class:`~repro.cluster.unionfind.ChainArray` (the
+oracle).  The batch and sharded engines keep it, for the whole sweep,
+as one fully compressed int64 label array
+(:class:`~repro.cluster.shm.NumpyChainArray`): the live state, epoch
+snapshots, rollback and jump states and deferred-epsilon flushes are
+all label arrays, and a level's merge records are the vectorized
+partition diff between the epoch's safe state and the committed one
+(:func:`partition_diff`).  One ``ChainArray`` is built at the end,
+for :attr:`CoarseResult.chain`.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.dendrogram import Dendrogram, DendrogramBuilder
+from repro.cluster.shm import NumpyChainArray
 from repro.cluster.unionfind import ChainArray
 from repro.core.chunking import (
     MIN_CHUNK,
@@ -114,6 +127,11 @@ class CoarseParams:
         return (1.0 + self.gamma) / 2.0
 
 
+# Array C: the list-based oracle or the label array of the batch and
+# sharded engines.
+Chain = Union[ChainArray, NumpyChainArray]
+
+
 @dataclass(frozen=True)
 class _PendingMerge:
     """A genuine merge awaiting level assignment (pos = index into L)."""
@@ -138,7 +156,7 @@ class _EpochState:
     beta: int
     xi: int
     p: int
-    chain: ChainArray
+    chain: Chain
     pending: List[_PendingMerge]
     deferred: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -196,8 +214,37 @@ class CoarseResult:
         return counts
 
 
+def _label_array(chain: Union[Chain, Sequence[int], np.ndarray]) -> np.ndarray:
+    """Array ``C`` of a chain (list-based, label array, or raw ids)."""
+    raw = chain.raw() if isinstance(chain, (ChainArray, NumpyChainArray)) else chain
+    return np.asarray(raw, dtype=np.int64)
+
+
+def partition_diff(
+    before: np.ndarray, after: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge columns ``(base, other)`` turning ``before`` into ``after``.
+
+    Both are int64 chain arrays over the same items and ``after`` must
+    be fully compressed (every entry its root).  For each root ``r`` of
+    ``before`` whose ``after`` label moved, ``other = r`` merges into
+    ``base = after[r]``; records come back lexsorted by ``(base,
+    other)``.  A handful of n-sized vector passes, no Python loop.
+    """
+    roots = np.flatnonzero(before == np.arange(before.size, dtype=np.int64))
+    base = after[roots]
+    moved = base != roots
+    base = base[moved]
+    other = roots[moved]
+    # ``other`` ascends already, so a stable sort on ``base`` is the
+    # (base, other) lexsort.
+    order = np.argsort(base, kind="stable")
+    return base[order], other[order]
+
+
 def transition_merges(
-    before: ChainArray, after: ChainArray
+    before: Union[Chain, Sequence[int], np.ndarray],
+    after: Union[Chain, Sequence[int], np.ndarray],
 ) -> List[Tuple[int, int, int]]:
     """Merge records ``(c1, c2, parent)`` turning partition ``before`` into
     ``after``.
@@ -205,22 +252,20 @@ def transition_merges(
     ``after`` must be a refinement-coarsening of ``before`` (obtained from
     it by merges).  For every group of ``before``-roots that share an
     ``after``-cluster, the larger roots merge into the smallest one —
-    exactly the records the chain-array ``MERGE`` would have emitted.
-    Used by the parallel sweeper, whose per-thread merging has no global
-    merge-event stream.
+    exactly the records the chain-array ``MERGE`` would have emitted,
+    ordered by ``(smallest root, merging root)``.  Either side may be a
+    :class:`ChainArray`, a :class:`NumpyChainArray` or a raw chain array,
+    compressed or not.  Computed by :func:`partition_diff`, which the
+    batch/sharded engines and the parallel driver (no global merge-event
+    stream) call directly.
     """
-    groups: dict = {}
-    for root in before.cluster_roots():
-        groups.setdefault(after.find(root), []).append(root)
-    merges: List[Tuple[int, int, int]] = []
-    for roots in groups.values():
-        if len(roots) < 2:
-            continue
-        roots.sort()
-        base = roots[0]
-        for other in roots[1:]:
-            merges.append((base, other, base))
-    return merges
+    from repro.fast.batch_sweep import compress_labels
+
+    base, other = partition_diff(
+        _label_array(before), compress_labels(_label_array(after))
+    )
+    bases = base.tolist()
+    return list(zip(bases, other.tolist(), bases))
 
 
 class _CoarseSweeper:
@@ -328,7 +373,13 @@ class _CoarseSweeper:
                 self.num_edges, num_shards or DEFAULT_SERIAL_SHARDS
             )
 
-        self.chain = ChainArray(self.num_edges)
+        # The batch and sharded engines keep array C as a compressed
+        # label array for the whole sweep; chained keeps the oracle's list.
+        self.chain: Chain = (
+            NumpyChainArray(self.num_edges)
+            if engine in ("batch", "sharded")
+            else ChainArray(self.num_edges)
+        )
         self.builder = DendrogramBuilder(self.num_edges)
         self.pending: List[_PendingMerge] = []
         self.epochs: List[EpochRecord] = []
@@ -402,19 +453,18 @@ class _CoarseSweeper:
     def _maybe_flush_deferred(self) -> None:
         """At an epoch boundary: flush deferred boundary merges when due.
 
-        Deferred pairs are first re-rooted through the current chain and
-        pruned of dead ones.  A flush happens when the local cluster
+        Deferred pairs are first re-rooted through the current labels
+        and pruned of dead ones.  A flush happens when the local cluster
         count exceeds ``(1 + epsilon)`` times the reconciled count the
         live deferred merges would produce, or when the pair list is
-        exhausted (the final level must be exact).  Flushed merges join
-        ``pending``, so they commit — or roll back — with the epoch
-        they flushed into.
+        exhausted (the final level must be exact).  Flushed merges land
+        in the live state, so they commit — or roll back — with the
+        epoch they flushed into (the level's records are the epoch's
+        partition diff).
         """
         if self._deferred_a.size == 0:
             return
-        from repro.fast.batch_sweep import batch_chunk_merge, compress_labels
-
-        lab = compress_labels(np.asarray(self.chain.raw(), dtype=np.int64))
+        lab = self.chain.raw()
         da = lab[self._deferred_a]
         db = lab[self._deferred_b]
         live = da != db
@@ -430,13 +480,17 @@ class _CoarseSweeper:
         within = beta_local <= (1.0 + self.epsilon) * max(1, beta_local - d)
         if within and self.p < self.num_pairs:
             return
-        before = self.chain
-        after = batch_chunk_merge(before, self._deferred_a, self._deferred_b)
-        pos = max(self.p - 1, 0)
-        for c1, c2, parent in transition_merges(before, after):
-            self.pending.append(_PendingMerge(pos, c1, c2, parent, None))
-        self.chain = after
+        self.chain = self._flushed(self.chain, self._deferred_a, self._deferred_b)
         self._clear_deferred()
+
+    @staticmethod
+    def _flushed(
+        chain: NumpyChainArray, da: np.ndarray, db: np.ndarray
+    ) -> NumpyChainArray:
+        """``chain`` with the deferred root pairs ``(da, db)`` applied."""
+        from repro.fast.batch_sweep import batch_components
+
+        return _label_state(batch_components(chain.raw(), da, db))
 
     def _flush_deferred_tail(self) -> None:
         """Flush remaining deferred merges as one extra level at a stop.
@@ -449,19 +503,34 @@ class _CoarseSweeper:
         """
         if self._deferred_a.size == 0:
             return
-        from repro.fast.batch_sweep import batch_chunk_merge
-
         before = self.chain
-        after = batch_chunk_merge(before, self._deferred_a, self._deferred_b)
-        merges = transition_merges(before, after)
-        if merges:
+        self.chain = self._flushed(before, self._deferred_a, self._deferred_b)
+        if self.chain.num_clusters() < before.num_clusters():
             self.level += 1
-            for c1, c2, parent in merges:
-                self.builder.record(self.level, c1, c2, parent, None)
-            self.tracer.count("merges", len(merges))
-        self.chain = after
-        self.beta = after.num_clusters()
+            self.tracer.count("merges", self._record_diff(before, self.chain))
+        self.beta = self.chain.num_clusters()
         self._clear_deferred()
+
+    def _record_diff(self, before: Chain, after: Chain) -> int:
+        """Record ``before`` → ``after`` as level ``self.level``; returns
+        the merge count.
+
+        One vectorized partition diff and one bulk builder call.  On
+        the label-array engines both states are compressed label arrays
+        and the step is traced as ``sweep:diff``; the parallel chained
+        driver's list chains are converted and compressed first (its
+        traces keep the chained engine's span names).
+        """
+        from repro.fast.batch_sweep import compress_labels
+
+        labels = isinstance(after, NumpyChainArray)
+        with self.tracer.span("sweep:diff") if labels else nullcontext():
+            after_labels = (
+                after.raw() if labels else compress_labels(_label_array(after))
+            )
+            base, other = partition_diff(_label_array(before), after_labels)
+            self.builder.record_level(self.level, base, other)
+        return int(base.size)
 
     # ------------------------------------------------------------------
     # main loop
@@ -497,9 +566,13 @@ class _CoarseSweeper:
             if self.stopped_by_phi and self.params.finalize_root:
                 self._merge_root()
 
+        chain = self.chain
+        if isinstance(chain, NumpyChainArray):
+            # The one list-based chain of a label-array sweep.
+            chain = ChainArray(len(chain), _init=chain.raw().tolist())
         return CoarseResult(
             dendrogram=self.builder.build(),
-            chain=self.chain,
+            chain=chain,
             edge_index=self.index,
             epochs=self.epochs,
             num_levels=self.level,
@@ -628,48 +701,61 @@ class _CoarseSweeper:
 
         The chunk's wedge window ``[offsets[start], offsets[stop])`` of
         the precomputed edge-index stream goes through one connected-
-        components contraction; level records come from the partition
-        diff (within a level merge records are unordered by
-        construction, so per-level partitions — and therefore the
-        dendrogram — match the chained engine exactly).  Merge records
-        carry no similarity: a batch level is one set-union, not a
-        sequence of per-wedge events.
+        components contraction of the label array; the level's records
+        are the partition diff taken when the epoch commits (within a
+        level merge records are unordered by construction, so per-level
+        partitions — and therefore the dendrogram — match the chained
+        engine exactly).  Merge records carry no similarity: a batch
+        level is one set-union, not a sequence of per-wedge events.
         """
-        from repro.fast.batch_sweep import batch_chunk_merge
+        from repro.fast.batch_sweep import batch_components
 
-        store = self.store
-        w_start = int(store.offsets[chunk.start])
-        w_end = int(store.offsets[chunk.stop])
-        self.xi += w_end - w_start
-        self.p = chunk.stop
-        if w_start == w_end:
-            return
-        before = self.chain
-        # Window-at-a-time application is exact: union merges are
-        # order-independent, so the partition after the last window
-        # equals one whole-chunk contraction, and level records come
-        # from the before/after diff either way.
-        after = before
-        with self.tracer.span("runtime:compute", workers=1):
-            for s, e in store.window_ranges(w_start, w_end):
-                c1w, c2w = store.window(s, e)
-                after = batch_chunk_merge(after, c1w, c2w, tracer=self.tracer)
-        for c1, c2, parent in transition_merges(before, after):
-            self.pending.append(_PendingMerge(chunk.start, c1, c2, parent, None))
-        self.chain = after
+        self._apply_windows(
+            chunk,
+            lambda lab, c1w, c2w: batch_components(
+                lab, c1w, c2w, tracer=self.tracer, inplace=True
+            ),
+        )
 
     def _apply_chunk_sharded(self, chunk: range) -> None:
         """Owner-computes chunk: per-shard local contraction + reconcile.
 
-        Same level records as :meth:`_apply_chunk_batch` (partition
-        diff), but the contraction runs shard-by-shard over identity
-        labels of each owned slice with a host reconciliation of the
-        deduplicated boundary pairs — exact unless ``epsilon > 0``, in
-        which case the boundary pairs are pushed onto the deferred set
-        instead of applied.
+        Same state and records as :meth:`_apply_chunk_batch`, but the
+        contraction runs shard-by-shard over identity labels of each
+        owned slice with a host reconciliation of the deduplicated
+        boundary pairs — exact unless ``epsilon > 0``, in which case the
+        boundary pairs are pushed onto the deferred set instead of
+        applied.  Window-at-a-time is exact here too: wedge ownership is
+        static (by edge slot), so the set of locally-applied vs deferred
+        boundary merges does not depend on how the window is split, and
+        deferred pairs are re-rooted at flush time anyway.
         """
         from repro.parallel.sharded_sweep import sharded_components
 
+        assert self.shard_part is not None
+
+        def contract(lab, c1w, c2w):
+            merged, deferred, _stats = sharded_components(
+                lab,
+                c1w,
+                c2w,
+                self.shard_part,
+                tracer=self.tracer,
+                defer_boundary=self.epsilon > 0,
+                inplace=True,
+            )
+            self._push_deferred(deferred)
+            return merged
+
+        self._apply_windows(chunk, contract)
+
+    def _apply_windows(self, chunk: range, contract) -> None:
+        """Advance the label state over the chunk, one store window at a time.
+
+        Window-at-a-time application is exact: union merges are
+        order-independent, so the partition after the last window
+        equals one whole-chunk contraction.
+        """
         store = self.store
         w_start = int(store.offsets[chunk.start])
         w_end = int(store.offsets[chunk.stop])
@@ -677,29 +763,15 @@ class _CoarseSweeper:
         self.p = chunk.stop
         if w_start == w_end:
             return
-        before = self.chain
-        assert self.shard_part is not None
-        # Window-at-a-time is exact here too: wedge ownership is static
-        # (by edge slot), so the set of locally-applied vs deferred
-        # boundary merges does not depend on how the window is split,
-        # and deferred pairs are re-rooted at flush time anyway.
-        base = np.asarray(before.raw(), dtype=np.int64)
+        # The live labels are the sweeper's own: snapshots, rollback and
+        # jump states all hold copies, and the level's records diff the
+        # safe snapshot.  So every window contracts in place.
+        lab = self.chain.raw()
         with self.tracer.span("runtime:compute", workers=1):
             for s, e in store.window_ranges(w_start, w_end):
                 c1w, c2w = store.window(s, e)
-                base, deferred, _stats = sharded_components(
-                    base,
-                    c1w,
-                    c2w,
-                    self.shard_part,
-                    tracer=self.tracer,
-                    defer_boundary=self.epsilon > 0,
-                )
-                self._push_deferred(deferred)
-        after = ChainArray(len(before), _init=base.tolist())
-        for c1, c2, parent in transition_merges(before, after):
-            self.pending.append(_PendingMerge(chunk.start, c1, c2, parent, None))
-        self.chain = after
+                lab = contract(lab, c1w, c2w)
+            self.chain = _label_state(lab)
 
     # ------------------------------------------------------------------
     # epoch boundary handling
@@ -788,14 +860,22 @@ class _CoarseSweeper:
 
     def _commit(self, kind: str, beta_new: int) -> None:
         self.level += 1
-        for pm in self.pending:
-            self.builder.record(self.level, pm.c1, pm.c2, pm.parent, pm.similarity)
-        self.tracer.count("merges", len(self.pending))
+        if self.records_by_diff:
+            # The level is everything since the safe state: the chunk
+            # plus any deferred flush, as one diff.
+            merges = self._record_diff(self.safe.chain, self.chain)
+        else:
+            for pm in self.pending:
+                self.builder.record(
+                    self.level, pm.c1, pm.c2, pm.parent, pm.similarity
+                )
+            merges = len(self.pending)
+        self.tracer.count("merges", merges)
         self.tracer.event(
             "sweep:level",
             level=self.level,
             kind=kind,
-            merges=len(self.pending),
+            merges=merges,
             beta=beta_new,
         )
         self.pending = []
@@ -843,14 +923,11 @@ class _CoarseSweeper:
             # state's own deferred pairs all sit at earlier positions
             # than the target's, so the flushed target subsumes them.)
             if target.deferred is not None:
-                from repro.fast.batch_sweep import batch_chunk_merge
-
-                target.chain = batch_chunk_merge(target.chain, *target.deferred)
+                target.chain = self._flushed(target.chain, *target.deferred)
                 target.beta = target.chain.num_clusters()
                 target.deferred = None
             self._clear_deferred()
-            for c1, c2, parent in transition_merges(self.chain, target.chain):
-                self.builder.record(self.level, c1, c2, parent, None)
+            self._record_diff(self.chain, target.chain)
             return
         current_pos = self.p
         for pm in target.pending:
@@ -930,7 +1007,7 @@ class _CoarseSweeper:
 
     def _merge_root(self) -> None:
         """Merge the remaining clusters into one at the root level."""
-        roots = sorted(self.chain.cluster_roots())
+        roots = sorted(int(r) for r in self.chain.cluster_roots())
         if len(roots) <= 1:
             return
         self.level += 1
@@ -948,6 +1025,11 @@ class _CoarseSweeper:
     def close_store(self) -> None:
         """Release the pair store (drops maps, removes any spill dir)."""
         self.store.close()
+
+
+def _label_state(labels: np.ndarray) -> NumpyChainArray:
+    """Wrap a fully compressed label array as the sweep's array ``C``."""
+    return NumpyChainArray(len(labels), buffer=labels, initialized=True)
 
 
 def coarse_sweep(

@@ -8,7 +8,6 @@ by the test suite.
 
 from repro.fast.assoc import fast_association_graph
 from repro.fast.batch_sweep import (
-    batch_chunk_merge,
     batch_components,
     batch_join_rows,
     compress_labels,
@@ -17,7 +16,6 @@ from repro.fast.similarity import adjacency_matrix, fast_similarity_columns
 
 __all__ = [
     "adjacency_matrix",
-    "batch_chunk_merge",
     "batch_components",
     "batch_join_rows",
     "compress_labels",

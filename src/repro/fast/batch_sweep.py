@@ -37,16 +37,31 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.unionfind import ChainArray
 from repro.errors import ClusteringError
 from repro.obs import as_tracer
 
 __all__ = [
     "compress_labels",
     "batch_components",
-    "batch_chunk_merge",
     "batch_join_rows",
 ]
+
+
+def _jump_pointers(lab: np.ndarray, buf: np.ndarray) -> None:
+    """Pointer-jump ``lab`` to full compression, ping-ponging with ``buf``.
+
+    Both arrays are n-sized int64 scratch owned by the caller; no other
+    n-sized array is allocated.  The loop stops when a jump changes
+    nothing, i.e. when the two arrays hold the same labels, so on
+    return *both* hold the fully compressed labels.  Indices are valid
+    by the chain invariant, so ``mode="clip"`` only skips the bounds
+    check (and the temporary the default mode buffers ``out`` through).
+    """
+    while True:
+        np.take(lab, lab, out=buf, mode="clip")
+        if np.array_equal(buf, lab):
+            return
+        lab, buf = buf, lab
 
 
 def compress_labels(labels: np.ndarray) -> np.ndarray:
@@ -64,12 +79,9 @@ def compress_labels(labels: np.ndarray) -> np.ndarray:
         )
     if lab.size and (lab > np.arange(lab.size, dtype=np.int64)).any():
         raise ClusteringError("chain invariant violated: labels[i] > i")
-    lab = lab.copy()
-    while True:
-        nxt = lab[lab]
-        if np.array_equal(nxt, lab):
-            return lab
-        lab = nxt
+    out = lab.copy()
+    _jump_pointers(out, np.empty_like(out))
+    return out
 
 
 def batch_components(
@@ -77,6 +89,7 @@ def batch_components(
     i1: np.ndarray,
     i2: np.ndarray,
     tracer=None,
+    inplace: bool = False,
 ) -> np.ndarray:
     """Union the clusters of ``labels`` along edges ``(i1[k], i2[k])``.
 
@@ -84,16 +97,22 @@ def batch_components(
     value is the *fully compressed* chain array of the join — for every
     item, the minimum member of its connected component, i.e. exactly
     what chained ``MERGE`` calls over the same edges would make
-    ``find`` return.  Neither input array is mutated.
+    ``find`` return.  Neither input array is mutated, unless
+    ``inplace`` is set: then ``labels`` must be the caller's own fully
+    compressed, writable int64 working copy of ``C`` (a runtime's
+    per-worker copy, or the previous window's result), the join is
+    written into it and it is returned — no copy is made.
 
     Each round hooks every still-spanning edge's larger endpoint
     cluster onto the smaller (``np.minimum.at``), recompresses, and
     drops the edges that no longer span two clusters.  Hooking to the
     minimum keeps the chain invariant (labels only ever decrease) and
     leaves each component's minimum as the unique surviving root.
+    Recompression ping-pongs between the working array and one scratch
+    array, so a round allocates only edge-sized temporaries.
     """
     tracer = as_tracer(tracer)
-    lab = compress_labels(labels)
+    lab = labels if inplace else compress_labels(labels)
     i1 = np.asarray(i1, dtype=np.int64)
     i2 = np.asarray(i2, dtype=np.int64)
     if i1.shape != i2.shape or i1.ndim != 1:
@@ -114,6 +133,9 @@ def batch_components(
     live = a != b
     a = a[live]
     b = b[live]
+    if a.size == 0:
+        return lab
+    buf = np.empty_like(lab)
     rounds = 0
     while a.size:
         rounds += 1
@@ -123,34 +145,14 @@ def batch_components(
             # Hook: every larger endpoint root adopts the minimum of
             # its incident smaller roots (unbuffered scatter-min).
             np.minimum.at(lab, hi, lo)
-            lab = compress_labels(lab)
+            _jump_pointers(lab, buf)
             a = lab[a]
             b = lab[b]
             live = a != b
             a = a[live]
             b = b[live]
-    if rounds:
-        tracer.count("batch_rounds", rounds)
+    tracer.count("batch_rounds", rounds)
     return lab
-
-
-def batch_chunk_merge(
-    chain: ChainArray,
-    i1: np.ndarray,
-    i2: np.ndarray,
-    tracer=None,
-) -> ChainArray:
-    """One chunk of the batch engine: ``chain`` + edge pairs → new chain.
-
-    The :class:`ChainArray` bridge over :func:`batch_components`:
-    ``chain`` is left untouched (the epoch machine snapshots and rolls
-    back chains by reference) and a fresh, fully compressed array comes
-    back.  Partition-identical to running chained ``MERGE`` over the
-    same pairs in any order.
-    """
-    base = np.asarray(chain.raw(), dtype=np.int64)
-    merged = batch_components(base, i1, i2, tracer=tracer)
-    return ChainArray(len(chain), _init=merged.tolist())
 
 
 def batch_join_rows(

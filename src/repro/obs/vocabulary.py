@@ -50,6 +50,9 @@ SPANS: FrozenSet[str] = frozenset(
         "sweep:batch_round",
         "sweep:shard[*]",
         "sweep:reconcile",
+        # Label-array engines (batch, sharded) and the parallel driver:
+        # one level's partition diff plus its bulk dendrogram record.
+        "sweep:diff",
         "runtime:spawn",
         "runtime:copy",
         "runtime:compute",

@@ -30,7 +30,6 @@ from repro.parallel.partitioner import (
 from repro.parallel.sharded_sweep import (
     ShardedChunkStats,
     ShardTask,
-    sharded_chunk_merge,
     sharded_components,
 )
 from repro.parallel.pool import (
@@ -65,7 +64,6 @@ __all__ = [
     "ShmSweepRuntime",
     "SweepRuntime",
     "SweepWorkModel",
-    "sharded_chunk_merge",
     "sharded_components",
     "calibrate_cost_model",
     "describe_exitcode",

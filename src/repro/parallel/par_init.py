@@ -70,12 +70,17 @@ def _pass2_worker(graph: Graph, vertices: Sequence[int]) -> PairAccumulator:
 
 
 def _pass2_columnar_worker(
-    graph: Graph, vertices: Sequence[int]
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    vertices: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar pass 2, step one: this vertex set's wedges as arrays."""
-    from repro.fast.similarity import _csr_arrays, _wedge_columns
+    """Columnar pass 2, step one: this vertex set's wedges as arrays.
 
-    indptr, indices, weights, _slot_eid = _csr_arrays(graph)
+    Works on the CSR adjacency the parent built once for all workers.
+    """
+    from repro.fast.similarity import _wedge_columns
+
     return _wedge_columns(indptr, indices, weights, vertices=vertices)
 
 
@@ -239,6 +244,7 @@ def parallel_similarity_columns(
     """
     from repro.fast.similarity import (
         _adjacency_weights,
+        _csr_arrays,
         _group_wedges,
         _tanimoto,
     )
@@ -255,8 +261,12 @@ def parallel_similarity_columns(
         h2 = np.asarray(h2_list, dtype=np.float64)
 
     with tracer.span("init:pass2", workers=len(parts)):
+        # One CSR build in the parent; workers get the arrays, not the
+        # graph (each used to rebuild the CSR with a per-edge loop).
+        indptr, indices, weights, _slot_eid = _csr_arrays(graph)
         partials = exec_backend.map(
-            _pass2_columnar_worker, [(graph, part) for part in parts]
+            _pass2_columnar_worker,
+            [(indptr, indices, weights, part) for part in parts],
         )
         pair_u, pair_v, dots, offsets, commons = _group_wedges(
             np.concatenate([p[0] for p in partials]),

@@ -17,10 +17,12 @@ All epoch-machine logic (modes, rollback, chunk estimation, reuse) is
 inherited from the serial driver; only chunk application and state-jump
 merge recording differ.  Because per-thread merge events cannot be
 interleaved into one global stream, dendrogram records for a level are
-derived by *diffing* the cluster partition before and after the chunk
-(:func:`repro.core.coarse.transition_merges`), which yields the same
-partition at every level (merge records within a level are unordered by
-construction).
+derived by *diffing* the cluster partition at the epoch's safe state
+against the committed one (:func:`repro.core.coarse.partition_diff`),
+which yields the same partition at every level (merge records within a
+level are unordered by construction).  The batch and sharded engines
+hand the runtime the live label array and get the next one back; the
+chained engine keeps the list-based ``ChainArray``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from repro.core.coarse import (
     CoarseParams,
     CoarseResult,
     _CoarseSweeper,
-    _PendingMerge,
-    transition_merges,
+    _label_state,
 )
 from repro.core.simcolumns import SimilarityColumns
 from repro.core.similarity import SimilarityMap, compute_similarity_map
@@ -89,23 +90,20 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
         self.p = chunk.stop
         if w_start == w_end:
             return  # nothing to merge; the runtime is not consulted
-        before = self.chain
+        # Level records come from the partition diff at commit, so the
+        # chunk only advances the state.
         if self.engine == "batch":
-            after = self._runtime.chunk_batch_range(before, w_start, w_end)
+            self.chain = _label_state(
+                self._runtime.chunk_batch_range(self.chain.raw(), w_start, w_end)
+            )
         elif self.engine == "sharded":
-            after, deferred = self._runtime.chunk_sharded_range(
-                before, w_start, w_end, defer_boundary=self.epsilon > 0
+            labels, deferred = self._runtime.chunk_sharded_range(
+                self.chain.raw(), w_start, w_end, defer_boundary=self.epsilon > 0
             )
             self._push_deferred(deferred)
+            self.chain = _label_state(labels)
         else:
-            after = self._runtime.chunk_merge_range(before, w_start, w_end)
-        if after is before:
-            return
-        # Level records come from the partition diff; positions anchor at
-        # the chunk start (sufficient: jumps re-derive records by diff).
-        for c1, c2, parent in transition_merges(before, after):
-            self.pending.append(_PendingMerge(chunk.start, c1, c2, parent, None))
-        self.chain = after
+            self.chain = self._runtime.chunk_merge_range(self.chain, w_start, w_end)
 
 
 def parallel_coarse_sweep(

@@ -14,11 +14,20 @@ Two implementations cover the four backends:
 
 * :class:`LocalSweepRuntime` — ``serial`` / ``thread`` / ``process``
   over :mod:`repro.parallel.pool`: per-chunk ``T`` private copies of
-  array ``C``, one map call, hierarchical array merge;
+  array ``C``, one map call, hierarchical array merge (or, for the
+  batch engine, one more contraction);
 * :class:`ShmSweepRuntime` — the ``shm`` backend over
   :class:`repro.parallel.shm_sweep.ShmArena`: one resident ``T x n``
   shared block plus ``T`` resident worker processes, nothing but
   index ranges into the loaded pair columns crossing a queue.
+
+The chained engine's :meth:`SweepRuntime.chunk_merge_range` takes and
+returns the list-based :class:`~repro.cluster.unionfind.ChainArray`
+(the paper oracle); the batch and sharded engines'
+:meth:`~SweepRuntime.chunk_batch_range` /
+:meth:`~SweepRuntime.chunk_sharded_range` take a chain array as an
+int64 label array and return the next state as a fully compressed
+label array — no list round trip per chunk.
 
 Every runtime accumulates a :class:`RuntimeStats` breaking chunk cost
 into spawn / copy / compute / merge time, which ``repro.bench``
@@ -31,7 +40,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +49,7 @@ from repro.core.registry import backend_names, make_runtime
 from repro.core.storage import PairFileSpec
 from repro.errors import ParameterError
 from repro.obs import NULL_TRACER
-from repro.fast.batch_sweep import batch_chunk_merge, batch_components, batch_join_rows
+from repro.fast.batch_sweep import batch_components, batch_join_rows, compress_labels
 from repro.parallel.merge_arrays import hierarchical_merge
 from repro.parallel.partitioner import ShardedPartition, strided_partition
 from repro.parallel.pool import ExecutionBackend, SerialBackend, get_backend
@@ -216,26 +225,44 @@ class SweepRuntime(ABC):
         :meth:`load_pairs_file`) first.
         """
 
+    def _working_copies(self, labels: np.ndarray, k: int) -> List[np.ndarray]:
+        """Step 1 for the label-array engines: ``k`` private copies of ``C``.
+
+        Each copy is fully compressed and owned by one worker (or the
+        host), which contracts in it in place; the caller's ``labels``
+        is never written.  Timed as ``runtime:copy``.
+        """
+        t0 = time.perf_counter()
+        first = compress_labels(labels)
+        copies = [first] + [first.copy() for _ in range(k - 1)]
+        dt = time.perf_counter() - t0
+        self.stats.copy_time += dt
+        self.tracer.record("runtime:copy", dt, copies=k)
+        return copies
+
     def chunk_batch_range(
-        self, chain: ChainArray, start: int, stop: int
-    ) -> ChainArray:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Batch-engine counterpart of :meth:`chunk_merge_range`.
 
         Unions the loaded pair columns' ``[start, stop)`` window into
-        ``chain`` with the vectorized connected-components kernel
+        the chain array ``labels`` (int64, ``labels[i] <= i``) with the
+        vectorized connected-components kernel
         (:func:`repro.fast.batch_sweep.batch_components`) instead of
-        sequential MERGE calls; same contract (never mutates ``chain``,
-        returns it unchanged for an empty window).  This baseline runs
-        one in-process contraction; :class:`LocalSweepRuntime` and
+        sequential MERGE calls.  Returns the fully compressed labels of
+        the join; never mutates ``labels`` and returns it unchanged for
+        an empty window.  This baseline runs one in-process
+        contraction; :class:`LocalSweepRuntime` and
         :class:`ShmSweepRuntime` override it with per-worker strided
         contractions plus a batch join.
         """
         i1, i2 = self._require_pairs(start, stop)
         self.stats.chunks += 1
         if start == stop:
-            return chain
+            return labels
+        (work,) = self._working_copies(labels, 1)
         t0 = time.perf_counter()
-        after = batch_chunk_merge(chain, i1[start:stop], i2[start:stop])
+        after = batch_components(work, i1[start:stop], i2[start:stop], inplace=True)
         dt = time.perf_counter() - t0
         self.stats.compute_time += dt
         self.tracer.record("runtime:compute", dt, workers=1)
@@ -243,50 +270,48 @@ class SweepRuntime(ABC):
 
     def chunk_sharded_range(
         self,
-        chain: ChainArray,
+        labels: np.ndarray,
         start: int,
         stop: int,
         defer_boundary: bool = False,
-    ) -> Tuple[ChainArray, Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Sharded-engine counterpart of :meth:`chunk_merge_range`.
 
         Splits the window's live root pairs by contiguous vertex
         ownership, contracts each shard locally, and reconciles the
         deduplicated boundary pairs
         (:func:`repro.parallel.sharded_sweep.sharded_components`).
-        Returns ``(chain', (deferred_a, deferred_b))``; the deferred
-        arrays are empty unless ``defer_boundary`` is set, in which
-        case the boundary pairs come back for the driver's epsilon
-        machinery instead of being applied.  This baseline solves the
-        shards sequentially in process; subclasses fan the shard tasks
-        out to workers.
+        Returns ``(labels', (deferred_a, deferred_b))`` with ``labels'``
+        fully compressed (``labels`` itself, unmutated, for an empty
+        window); the deferred arrays are empty unless
+        ``defer_boundary`` is set, in which case the boundary pairs
+        come back for the driver's epsilon machinery instead of being
+        applied.  This baseline solves the shards sequentially in
+        process; subclasses fan the shard tasks out to workers.
         """
         i1, i2 = self._require_pairs(start, stop)
         self.stats.chunks += 1
         if start == stop:
-            return chain, (
+            return labels, (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
             )
-        part = self._shard_partition(len(chain))
-        base = np.asarray(chain.raw(), dtype=np.int64)
+        part = self._shard_partition(len(labels))
+        (work,) = self._working_copies(labels, 1)
         t0 = time.perf_counter()
         merged, deferred, _stats = sharded_components(
-            base,
+            work,
             i1[start:stop],
             i2[start:stop],
             part,
             tracer=self.tracer,
             defer_boundary=defer_boundary,
+            inplace=True,
         )
-        t1 = time.perf_counter()
-        self.stats.compute_time += t1 - t0
-        self.tracer.record("runtime:compute", t1 - t0, workers=1)
-        after = ChainArray(len(chain), _init=merged.tolist())
-        t2 = time.perf_counter()
-        self.stats.copy_time += t2 - t1
-        self.tracer.record("runtime:copy", t2 - t1, copies=1)
-        return after, deferred
+        dt = time.perf_counter() - t0
+        self.stats.compute_time += dt
+        self.tracer.record("runtime:compute", dt, workers=1)
+        return merged, deferred
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(chunks={self.stats.chunks})"
@@ -306,12 +331,11 @@ def _batch_merge_worker(
 ) -> np.ndarray:
     """Batch-engine worker: one contraction over this worker's slice.
 
-    ``labels`` is shared read-only between thread workers — the kernel
-    copies internally, so no per-worker duplicate of array ``C`` is
-    made up front (the batch engine's "copy" step is folded into the
-    contraction).  Returns the fully compressed label row.
+    ``labels`` is this worker's own compressed copy of array ``C``
+    (made by the runtime's copy step); the contraction runs in it in
+    place and the fully compressed label row comes back.
     """
-    return batch_components(labels, i1, i2)
+    return batch_components(labels, i1, i2, inplace=True)
 
 
 # Per-process cache of mapped pair-file columns, keyed by file path.  A
@@ -479,48 +503,42 @@ class LocalSweepRuntime(SweepRuntime):
         return self._merge_on_copies(chain, _merge_arrays_worker, part_args)
 
     def chunk_batch_range(
-        self, chain: ChainArray, start: int, stop: int
-    ) -> ChainArray:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Batch engine over the pool: strided contractions + batch join.
 
-        Step 1 maps :func:`_batch_merge_worker` over the window's
-        strided slices (each worker contracts its share against the
-        same read-only base labels — the kernel copies internally, so
-        no up-front per-worker copy of ``C`` is paid); step 2 joins the
-        resulting label rows with one more contraction
-        (:func:`repro.fast.batch_sweep.batch_join_rows`) instead of the
-        pairwise chain-walk merge.
+        Step 1 makes one compressed copy of ``C`` per busy worker
+        (``runtime:copy``) and maps :func:`_batch_merge_worker` over the
+        window's strided slices, each contracting its share in its own
+        copy; step 2 joins the resulting label rows with one more
+        contraction (:func:`repro.fast.batch_sweep.batch_join_rows`)
+        instead of the pairwise chain-walk merge.
         """
         i1, i2 = self._require_pairs(start, stop)
-        self.stats.chunks += 1
-        if start == stop:
-            return chain
-        stats = self.stats
         parts = strided_partition(start, stop, self.num_workers)
-        base = np.asarray(chain.raw(), dtype=np.int64)
-        if len(parts) == 1:
-            # One busy worker: dispatch buys nothing; contract inline.
-            t0 = time.perf_counter()
-            after = batch_chunk_merge(chain, i1[start:stop], i2[start:stop])
-            dt = time.perf_counter() - t0
-            stats.compute_time += dt
-            self.tracer.record("runtime:compute", dt, workers=1)
-            return after
+        if len(parts) <= 1:
+            # One busy worker (or an empty window): dispatch buys
+            # nothing; contract inline.
+            return super().chunk_batch_range(labels, start, stop)
+        self.stats.chunks += 1
+        stats = self.stats
         self.start()
         tracer = self.tracer
+        copies = self._working_copies(labels, len(parts))
 
         t1 = time.perf_counter()
         if self._pairs_file is not None and self.backend.name == "process":
             spec = self._pairs_file
             rows = self.backend.map(
                 _batch_file_merge_worker,
-                [(base, spec, p.start, p.stop, p.step) for p in parts],
+                [(work, spec, p.start, p.stop, p.step)
+                 for work, p in zip(copies, parts)],
             )
         else:
             rows = self.backend.map(
                 _batch_merge_worker,
-                [(base, i1[p.start : p.stop : p.step], i2[p.start : p.stop : p.step])
-                 for p in parts],
+                [(work, i1[p.start : p.stop : p.step], i2[p.start : p.stop : p.step])
+                 for work, p in zip(copies, parts)],
             )
         stats.tasks += len(parts)
         t2 = time.perf_counter()
@@ -531,22 +549,15 @@ class LocalSweepRuntime(SweepRuntime):
         t3 = time.perf_counter()
         stats.merge_time += t3 - t2
         tracer.record("runtime:merge", t3 - t2)
-        # Materializing the result ChainArray is transport, not joining:
-        # it lands in copy_time so runtime:copy/runtime:merge spans stay
-        # comparable across engines (chained pays its copies up front).
-        after = ChainArray(len(chain), _init=joined.tolist())
-        t4 = time.perf_counter()
-        stats.copy_time += t4 - t3
-        tracer.record("runtime:copy", t4 - t3, copies=1)
-        return after
+        return joined
 
     def chunk_sharded_range(
         self,
-        chain: ChainArray,
+        labels: np.ndarray,
         start: int,
         stop: int,
         defer_boundary: bool = False,
-    ) -> Tuple[ChainArray, Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Sharded engine over the pool: owner-computes shard tasks.
 
         Classification and boundary reconciliation run on the host
@@ -557,17 +568,14 @@ class LocalSweepRuntime(SweepRuntime):
         bounded, which is what drops the process backend's pickling
         traffic and every backend's resident footprint by ~T×.
         """
+        if start == stop:
+            return super().chunk_sharded_range(labels, start, stop)
         i1, i2 = self._require_pairs(start, stop)
         self.stats.chunks += 1
-        if start == stop:
-            return chain, (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
         stats = self.stats
         tracer = self.tracer
-        part = self._shard_partition(len(chain))
-        base = np.asarray(chain.raw(), dtype=np.int64)
+        part = self._shard_partition(len(labels))
+        (work,) = self._working_copies(labels, 1)
         compute_cell = [0.0]
         busy_cell = [0]
 
@@ -585,13 +593,14 @@ class LocalSweepRuntime(SweepRuntime):
 
         t0 = time.perf_counter()
         merged, deferred, _stats = sharded_components(
-            base,
+            work,
             i1[start:stop],
             i2[start:stop],
             part,
             tracer=tracer,
             defer_boundary=defer_boundary,
             shard_solver=solver,
+            inplace=True,
         )
         t1 = time.perf_counter()
         stats.compute_time += compute_cell[0]
@@ -602,11 +611,7 @@ class LocalSweepRuntime(SweepRuntime):
         host_dt = max(0.0, (t1 - t0) - compute_cell[0])
         stats.merge_time += host_dt
         tracer.record("runtime:merge", host_dt)
-        after = ChainArray(len(chain), _init=merged.tolist())
-        t2 = time.perf_counter()
-        stats.copy_time += t2 - t1
-        tracer.record("runtime:copy", t2 - t1, copies=1)
-        return after, deferred
+        return merged, deferred
 
     def __repr__(self) -> str:
         return (
@@ -631,9 +636,9 @@ class ShmSweepRuntime(SweepRuntime):
         super().__init__()
         self.num_workers = num_workers
         self._arena: ShmArena | None = ShmArena(n, num_workers) if n is not None else None
-        # Host-side copy cost (list -> ChainArray materialization) that
-        # the arena cannot see; _sync_stats adds it to the arena's own
-        # copy_time so runtime:copy stays comparable across engines.
+        # Host-side copy cost (the chained engine's list -> ChainArray
+        # materialization) that the arena cannot see; _sync_stats adds
+        # it to the arena's own copy_time.
         self._host_copy_time = 0.0
 
     @property
@@ -661,11 +666,12 @@ class ShmSweepRuntime(SweepRuntime):
         if self._arena is not None:
             self._arena.shutdown()
 
-    def _run_on_arena(self, call: Callable[[], List[int]]) -> ChainArray:
+    def _run_on_arena(self, call: Callable[[], Any]) -> Any:
         """Run one arena chunk call and surface its cost deltas.
 
         The arena times its own steps (workers run out-of-process); this
-        chunk's contribution is the counter delta around ``call``.
+        chunk's contribution is the counter delta around ``call``, whose
+        result is returned as is.
         """
         stats = self.stats
         before = (
@@ -674,10 +680,7 @@ class ShmSweepRuntime(SweepRuntime):
             stats.compute_time,
             stats.merge_time,
         )
-        merged_raw = call()
-        t0 = time.perf_counter()
-        result = ChainArray(len(merged_raw), _init=merged_raw)
-        self._host_copy_time += time.perf_counter() - t0
+        result = call()
         self._sync_stats()
         tracer = self.tracer
         spawn_dt = stats.spawn_time - before[0]
@@ -714,13 +717,19 @@ class ShmSweepRuntime(SweepRuntime):
             return chain
         arena = self._arena_for(len(chain))
         self._sync_pairs(arena, i1, i2)
-        return self._run_on_arena(
-            lambda: arena.chunk_merge_range(list(chain.raw()), start, stop)
-        )
+
+        def call() -> ChainArray:
+            merged = arena.chunk_merge_range(list(chain.raw()), start, stop)
+            t0 = time.perf_counter()
+            after = ChainArray(len(merged), _init=merged)
+            self._host_copy_time += time.perf_counter() - t0
+            return after
+
+        return self._run_on_arena(call)
 
     def chunk_batch_range(
-        self, chain: ChainArray, start: int, stop: int
-    ) -> ChainArray:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Batch engine over the arena (``("batch_range", ...)`` tasks).
 
         Same shared-memory transport as :meth:`chunk_merge_range` —
@@ -732,20 +741,20 @@ class ShmSweepRuntime(SweepRuntime):
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
             self.stats.chunks += 1
-            return chain
-        arena = self._arena_for(len(chain))
+            return labels
+        arena = self._arena_for(len(labels))
         self._sync_pairs(arena, i1, i2)
         return self._run_on_arena(
-            lambda: arena.chunk_batch_range(list(chain.raw()), start, stop)
+            lambda: arena.chunk_batch_range(labels, start, stop)
         )
 
     def chunk_sharded_range(
         self,
-        chain: ChainArray,
+        labels: np.ndarray,
         start: int,
         stop: int,
         defer_boundary: bool = False,
-    ) -> Tuple[ChainArray, Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Sharded engine over the arena (owner-computes shard tasks).
 
         The arena keeps array ``C`` once in shared memory; each resident
@@ -757,27 +766,19 @@ class ShmSweepRuntime(SweepRuntime):
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
             self.stats.chunks += 1
-            return chain, (
+            return labels, (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
             )
-        arena = self._arena_for(len(chain))
+        arena = self._arena_for(len(labels))
         self._sync_pairs(arena, i1, i2)
         boundary_before = arena.boundary_edges
         rounds_before = arena.reconcile_rounds
-        box: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-
-        def call() -> List[int]:
-            out, deferred = arena.chunk_sharded_range(
-                list(chain.raw()), start, stop, defer_boundary=defer_boundary
+        after, deferred = self._run_on_arena(
+            lambda: arena.chunk_sharded_range(
+                labels, start, stop, defer_boundary=defer_boundary
             )
-            # Detach from anything arena-owned before the box crosses
-            # back to the driver (the arrays are host copies already,
-            # but the contract is explicit).
-            box["deferred"] = (deferred[0].copy(), deferred[1].copy())
-            return out
-
-        after = self._run_on_arena(call)
+        )
         tracer = self.tracer
         tracer.gauge("shard_bytes", arena.shard_bytes)
         boundary_delta = arena.boundary_edges - boundary_before
@@ -786,7 +787,7 @@ class ShmSweepRuntime(SweepRuntime):
         rounds_delta = arena.reconcile_rounds - rounds_before
         if rounds_delta:
             tracer.count("reconcile_rounds", rounds_delta)
-        return after, box["deferred"]
+        return after, deferred
 
     def _sync_stats(self) -> None:
         """Mirror the arena's counters into this runtime's stats."""

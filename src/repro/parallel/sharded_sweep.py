@@ -57,7 +57,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.unionfind import ChainArray
 from repro.errors import ClusteringError
 from repro.fast.batch_sweep import batch_components, compress_labels
 from repro.obs import as_tracer
@@ -71,7 +70,6 @@ __all__ = [
     "apply_relabels",
     "dedupe_root_pairs",
     "sharded_components",
-    "sharded_chunk_merge",
 ]
 
 
@@ -198,6 +196,7 @@ def sharded_components(
     tracer=None,
     defer_boundary: bool = False,
     shard_solver: Optional[ShardSolver] = None,
+    inplace: bool = False,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], ShardedChunkStats]:
     """One sharded level: ``labels`` + edge pairs → compressed labels.
 
@@ -209,10 +208,14 @@ def sharded_components(
     arrays empty otherwise) and ``merged`` holds intra-shard merges
     only.  ``shard_solver`` lets parallel runtimes fan the
     :class:`ShardTask` list out to owner workers; by default shards are
-    solved sequentially in process.  Neither input array is mutated.
+    solved sequentially in process.  Neither input array is mutated,
+    unless ``inplace`` is set: then ``labels`` must be the caller's own
+    fully compressed, writable int64 working copy of ``C``, and
+    ``merged`` is that array, relabelled in place (as in
+    :func:`~repro.fast.batch_sweep.batch_components`).
     """
     tracer = as_tracer(tracer)
-    lab = compress_labels(labels)
+    lab = labels if inplace else compress_labels(labels)
     i1 = np.asarray(i1, dtype=np.int64)
     i2 = np.asarray(i2, dtype=np.int64)
     if i1.shape != i2.shape or i1.ndim != 1:
@@ -302,7 +305,9 @@ def sharded_components(
                 if rounds:
                     tracer.count("reconcile_rounds", rounds)
 
-    merged = rho[lab]
+    # take() with the default mode buffers ``out``, so relabelling the
+    # working copy through its own values is safe.
+    merged = rho.take(lab, out=lab) if inplace else rho[lab]
     stats = ShardedChunkStats(
         intra_edges=int(cls.intra_a.size),
         boundary_edges=boundary_edges,
@@ -310,24 +315,3 @@ def sharded_components(
         shards_busy=len(tasks),
     )
     return merged, deferred, stats
-
-
-def sharded_chunk_merge(
-    chain: ChainArray,
-    i1: np.ndarray,
-    i2: np.ndarray,
-    part: ShardedPartition,
-    tracer=None,
-) -> ChainArray:
-    """One exact sharded chunk as a :class:`ChainArray` bridge.
-
-    ``chain`` is left untouched (the epoch machine snapshots and rolls
-    back chains by reference); partition-identical to
-    :func:`~repro.fast.batch_sweep.batch_chunk_merge` over the same
-    pairs.
-    """
-    base = np.asarray(chain.raw(), dtype=np.int64)
-    merged, _deferred, _stats = sharded_components(
-        base, i1, i2, part, tracer=tracer
-    )
-    return ChainArray(len(chain), _init=merged.tolist())

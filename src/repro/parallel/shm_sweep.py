@@ -617,16 +617,19 @@ class ShmArena:
         return self._combine_rows(busy)
 
     def chunk_batch_range(
-        self, base: Sequence[int], start: int, stop: int
-    ) -> List[int]:
+        self, base: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Batch-engine counterpart of :meth:`chunk_merge_range`.
 
         Worker ``r`` contracts its strided slice of pairs ``[start,
         stop)`` vectorized (:func:`repro.fast.batch_sweep.batch_components`)
         instead of walking the MERGE chain pair by pair, and the parent
         joins the resulting rows with one more vectorized contraction
-        (:func:`repro.fast.batch_sweep.batch_join_rows`).  Returns fully
-        compressed labels; the partition equals the chained result's.
+        (:func:`repro.fast.batch_sweep.batch_join_rows`).  ``base`` is
+        the current chain array as int64 labels (never mutated); returns
+        a host label array — fully compressed and detached from shared
+        memory — whose partition equals the chained result's (for an
+        empty range, ``base`` itself as an int64 array).
         """
         base_arr = np.asarray(base, dtype=np.int64)
         if base_arr.shape != (self.n,):
@@ -647,7 +650,7 @@ class ShmArena:
         self.chunks += 1
         total = stop - start
         if total == 0 or self.n == 0:
-            return base_arr.tolist()
+            return base_arr
         parts = strided_partition(start, stop, min(self.num_workers, total))
         busy = len(parts)
         if busy == 1:
@@ -657,7 +660,7 @@ class ShmArena:
                 base_arr, host_i1[start:stop], host_i2[start:stop]
             )
             self.compute_time += time.perf_counter() - t0
-            return merged.tolist()
+            return merged
 
         self.start()
         assert self._matrix is not None
@@ -693,23 +696,19 @@ class ShmArena:
         self.compute_time += time.perf_counter() - t0
 
         t0 = time.perf_counter()
+        # The join contracts a fresh host copy of row 0, so the result
+        # holds no view on the shared block.
         joined = batch_join_rows([self._matrix[row] for row in range(busy)])
-        t1 = time.perf_counter()
-        self.merge_time += t1 - t0
-        # Materializing the Python list is copy traffic, not join work —
-        # keep it out of merge_time so runtime:merge stays comparable
-        # across engines.
-        out = joined.tolist()
-        self.copy_time += time.perf_counter() - t1
-        return out
+        self.merge_time += time.perf_counter() - t0
+        return joined
 
     def chunk_sharded_range(
         self,
-        base: Sequence[int],
+        base: np.ndarray,
         start: int,
         stop: int,
         defer_boundary: bool = False,
-    ) -> Tuple[List[int], Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Sharded-engine counterpart of :meth:`chunk_batch_range`.
 
         Owner-computes over the shared block: the compressed labels live
@@ -725,9 +724,11 @@ class ShmArena:
         and the owners broadcast the final relabels back into row 0.
 
         Returns ``(labels, (deferred_a, deferred_b))``: the fully
-        compressed labels as a plain list, plus the unapplied boundary
-        cluster pairs — non-empty only with ``defer_boundary=True``
-        (plain host arrays, detached from shared memory).
+        compressed labels as a host int64 array (for an empty range,
+        ``base`` itself as an int64 array), plus the unapplied boundary
+        cluster pairs —
+        non-empty only with ``defer_boundary=True``.  Both are plain
+        host arrays, detached from shared memory.
         """
         base_arr = np.asarray(base, dtype=np.int64)
         if base_arr.shape != (self.n,):
@@ -748,7 +749,7 @@ class ShmArena:
         self.chunks += 1
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         if stop - start == 0 or self.n == 0:
-            return base_arr.tolist(), empty
+            return base_arr, empty
         host_i1, host_i2 = self._pairs_host
         part = self.shard_partition()
         if self.num_workers == 1 or part.num_shards < 2:
@@ -765,7 +766,7 @@ class ShmArena:
             self.compute_time += time.perf_counter() - t0
             self.boundary_edges += cstats.boundary_edges
             self.reconcile_rounds += cstats.reconcile_rounds
-            return merged.tolist(), deferred
+            return merged, deferred
 
         self.start()
         assert self._matrix is not None
@@ -781,7 +782,7 @@ class ShmArena:
         b = b[live]
         if a.size == 0:
             self.merge_time += time.perf_counter() - t0
-            return lab.tolist(), empty
+            return lab, empty
         cls = part.classify(a, b)
         self.merge_time += time.perf_counter() - t0
 
@@ -864,8 +865,9 @@ class ShmArena:
         self._collect(part.num_shards)
         self.compute_time += time.perf_counter() - t0
 
+        # Detach the result from the shared block.
         t0 = time.perf_counter()
-        out = self._matrix[0].tolist()
+        out = self._matrix[0].copy()
         self.copy_time += time.perf_counter() - t0
         return out, deferred
 

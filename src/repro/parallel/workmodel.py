@@ -1,9 +1,10 @@
 """Deterministic makespan model of the multi-threaded algorithms.
 
-The paper measures strong scaling on a 6-core Xeon (Figure 6).  This
-sandbox has a single core, so no executor can exhibit real 6-way
-wall-clock speedup; instead this module *models* the parallel execution's
-critical path from first principles, using the exact partitioning and
+The paper measures strong scaling on a 6-core Xeon (Figure 6).  The
+measuring machine has 2 cores, so no executor can exhibit real 6-way
+wall-clock speedup; instead this module *models* (extrapolates) the
+parallel execution's critical path from first principles, using the
+exact partitioning and
 combining structure of Sections VI-A/VI-B:
 
 * each thread's work is the sum of the costs of the items assigned to it

@@ -97,3 +97,36 @@ def test_property_batch_equals_chained(n, p, seed, delta0, phi):
     if g.num_edges < 2:
         return
     assert_engines_agree(g, CoarseParams(phi=phi, delta0=delta0))
+
+
+class TestChunkTrace:
+    def test_chunk_children_cover_serial_batch_sweep(self):
+        # Every step of a batch chunk sits under a child span: the
+        # window contractions under runtime:compute, the level's
+        # partition diff and bulk record under sweep:diff.  A warm-up
+        # keeps one-time imports out of the measured chunks.
+        from repro.bench.experiments import coarse_params_for
+        from repro.fast.similarity import fast_similarity_columns
+        from repro.obs import MemorySink, Tracer
+
+        coarse_sweep(generators.caveman_graph(3, 4), None, engine="batch")
+        graph = generators.caveman_graph(
+            48, 44, weight=generators.random_weights(seed=1)
+        )
+        columns = fast_similarity_columns(graph)
+        sink = MemorySink()
+        coarse_sweep(
+            graph,
+            columns,
+            coarse_params_for(graph, columns.k2),
+            engine="batch",
+            tracer=Tracer([sink]),
+        )
+        chunks = [s for s in sink.spans if s.name.startswith("sweep:chunk[")]
+        names = {s.name for s in chunks}
+        children = [s for s in sink.spans if s.parent in names]
+        assert {s.name for s in children} == {"runtime:compute", "sweep:diff"}
+        total = sum(s.duration for s in chunks)
+        covered = sum(s.duration for s in children)
+        assert total >= 0.05
+        assert covered >= 0.9 * total, (covered, total)

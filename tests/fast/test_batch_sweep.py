@@ -1,9 +1,9 @@
 """Unit tests for the vectorized batch union-find kernels.
 
 The kernels must reproduce the chained oracle's *partition* exactly:
-``batch_components`` is checked against a classic DSU, ``batch_chunk_merge``
-against a sequential ``ChainArray`` MERGE walk, and ``batch_join_rows``
-against the reference DSU join.
+``batch_components`` is checked against a classic DSU and a sequential
+``ChainArray`` MERGE walk, and ``batch_join_rows`` against the reference
+DSU join.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.cluster.unionfind import ChainArray, DisjointSet
 from repro.errors import ClusteringError
 from repro.fast.batch_sweep import (
-    batch_chunk_merge,
     batch_components,
     batch_join_rows,
     compress_labels,
@@ -109,6 +108,30 @@ class TestBatchComponents:
         out = batch_components(np.arange(n, dtype=np.int64), i1, i2)
         assert np.array_equal(out[out], out)
 
+    def test_matches_sequential_merge(self):
+        n = 35
+        i1, i2 = random_edges(n, 50, seed=11)
+        oracle = ChainArray(n)
+        for a, b in zip(i1.tolist(), i2.tolist()):
+            oracle.merge(a, b)
+        out = batch_components(np.arange(n, dtype=np.int64), i1, i2)
+        assert out.tolist() == oracle.labels()
+        assert int(np.count_nonzero(out == np.arange(n))) == oracle.num_clusters()
+
+    def test_inplace_contracts_in_the_given_array(self):
+        # The runtimes hand the kernel their own compressed copy of C:
+        # the join lands in that array, equal to the copying call.
+        n = 40
+        i1, i2 = random_edges(n, 60, seed=3)
+        base = batch_components(
+            np.arange(n, dtype=np.int64), i1[:10], i2[:10]
+        )
+        expected = batch_components(base, i1[10:], i2[10:])
+        work = base.copy()
+        out = batch_components(work, i1[10:], i2[10:], inplace=True)
+        assert out is work
+        assert out.tolist() == expected.tolist()
+
     def test_inputs_not_mutated(self):
         lab = np.arange(6, dtype=np.int64)
         i1 = np.array([0, 2], dtype=np.int64)
@@ -142,27 +165,6 @@ class TestBatchComponents:
         assert round_spans, "contraction rounds must emit spans"
         assert all(s.attrs["edges"] > 0 for s in round_spans)
         assert sink.counters["batch_rounds"] == len(round_spans)
-
-
-class TestBatchChunkMerge:
-    def test_matches_sequential_merge(self):
-        n = 35
-        i1, i2 = random_edges(n, 50, seed=11)
-        oracle = ChainArray(n)
-        for a, b in zip(i1.tolist(), i2.tolist()):
-            oracle.merge(a, b)
-        merged = batch_chunk_merge(ChainArray(n), i1, i2)
-        assert merged.labels() == oracle.labels()
-        assert merged.num_clusters() == oracle.num_clusters()
-
-    def test_original_chain_untouched(self):
-        chain = ChainArray(5)
-        merged = batch_chunk_merge(
-            chain, np.array([0], dtype=np.int64), np.array([4], dtype=np.int64)
-        )
-        assert chain.labels() == list(range(5))
-        assert merged is not chain
-        assert merged.find(4) == 0
 
 
 class TestBatchJoinRows:
@@ -202,3 +204,22 @@ def test_property_components_equal_dsu(n, m, seed):
     out = batch_components(np.arange(n, dtype=np.int64), i1, i2)
     assert out.tolist() == dsu_labels(n, i1, i2)
     assert np.array_equal(out[out], out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    m=st.integers(0, 120),
+    seed=st.integers(0, 1000),
+    split=st.integers(0, 120),
+)
+def test_property_inplace_equals_copying(n, m, seed, split):
+    # Contracting in the caller's compressed copy gives the copying
+    # call's labels, whichever scratch buffer the last round ended in.
+    i1, i2 = random_edges(n, m, seed)
+    base = batch_components(np.arange(n, dtype=np.int64), i1[:split], i2[:split])
+    expected = batch_components(base, i1[split:], i2[split:])
+    work = base.copy()
+    out = batch_components(work, i1[split:], i2[split:], inplace=True)
+    assert out is work
+    assert out.tolist() == expected.tolist()

@@ -33,6 +33,7 @@ class TestDeclaredNames:
             "runtime:merge",
             "sweep:batch_round",
             "sweep:reconcile",
+            "sweep:diff",
             "storage:table",
             "storage:spill",
             "storage:merge",

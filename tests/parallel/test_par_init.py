@@ -104,3 +104,29 @@ def test_property_parallel_init_equals_serial(n, p, seed, workers):
     reference = compute_similarity_map(g)
     fast = parallel_similarity_map(g, num_workers=workers, backend="thread")
     assert_maps_equal(fast, reference)
+
+
+class TestParallelSimilarityColumns:
+    def test_builds_csr_once_for_all_workers(self, monkeypatch):
+        # Pass 2 workers receive the parent's CSR arrays; none rebuilds
+        # the adjacency with the per-edge loop.
+        import repro.fast.similarity as fast_similarity
+        from repro.fast.similarity import fast_similarity_columns
+        from repro.parallel.par_init import parallel_similarity_columns
+
+        graph = generators.caveman_graph(4, 6)
+        calls = []
+        real = fast_similarity._csr_arrays
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(fast_similarity, "_csr_arrays", counting)
+        cols = parallel_similarity_columns(graph, num_workers=3, backend="thread")
+        assert len(calls) == 1
+        ref = fast_similarity_columns(graph)
+        assert cols.u.tolist() == ref.u.tolist()
+        assert cols.v.tolist() == ref.v.tolist()
+        assert cols.sim.tolist() == ref.sim.tolist()
+        assert cols.common_neighbors.tolist() == ref.common_neighbors.tolist()

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.unionfind import ChainArray
 from repro.errors import ClusteringError
-from repro.fast.batch_sweep import batch_chunk_merge, batch_components
+from repro.fast.batch_sweep import batch_components
 from repro.obs import MemorySink, Tracer
 from repro.parallel.partitioner import ShardedPartition
 from repro.parallel.sharded_sweep import (
@@ -29,7 +29,6 @@ from repro.parallel.sharded_sweep import (
     apply_relabels,
     dedupe_root_pairs,
     reconcile_labels,
-    sharded_chunk_merge,
     sharded_components,
     solve_shard,
 )
@@ -356,27 +355,20 @@ class TestShardedComponents:
         assert sink.counters["shard_bytes"] == part.max_width * 8
 
 
-class TestShardedChunkMerge:
-    def test_matches_batch_chunk_merge(self):
+class TestShardedInplace:
+    def test_matches_batch_components(self):
         n = 35
         i1, i2 = random_edges(n, 50, seed=11)
         part = ShardedPartition.build(n, 4)
-        batch = batch_chunk_merge(ChainArray(n), i1, i2)
-        sharded = sharded_chunk_merge(ChainArray(n), i1, i2, part)
-        assert sharded.labels() == batch.labels()
-        assert sharded.num_clusters() == batch.num_clusters()
-
-    def test_original_chain_untouched(self):
-        chain = ChainArray(5)
-        merged = sharded_chunk_merge(
-            chain,
-            np.array([0], dtype=np.int64),
-            np.array([4], dtype=np.int64),
-            ShardedPartition.build(5, 2),
-        )
-        assert chain.labels() == list(range(5))
-        assert merged is not chain
-        assert merged.find(4) == 0
+        batch = batch_components(np.arange(n, dtype=np.int64), i1, i2)
+        work = np.arange(n, dtype=np.int64)
+        sharded, _, _ = sharded_components(work, i1, i2, part, inplace=True)
+        assert sharded is work
+        assert sharded.tolist() == batch.tolist()
+        oracle = ChainArray(n)
+        for a, b in zip(i1.tolist(), i2.tolist()):
+            oracle.merge(a, b)
+        assert sharded.tolist() == oracle.labels()
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,8 +206,9 @@ class TestChunkBatchRange:
     def test_empty_range_is_identity(self):
         with ShmArena(5, 2) as arena:
             arena.load_pairs([0, 1], [1, 2])
-            base = list(range(5))
-            assert arena.chunk_batch_range(base, 1, 1) == base
+            base = np.arange(5, dtype=np.int64)
+            assert arena.chunk_batch_range(base, 1, 1) is base
+            assert base.tolist() == list(range(5))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_chunk_merge_range(self, workers):
@@ -268,9 +270,10 @@ class TestChunkShardedRange:
     def test_empty_range_is_identity(self):
         with ShmArena(5, 2) as arena:
             arena.load_pairs([0, 1], [1, 2])
-            base = list(range(5))
+            base = np.arange(5, dtype=np.int64)
             merged, (da, db) = arena.chunk_sharded_range(base, 1, 1)
-            assert merged == base
+            assert merged is base
+            assert base.tolist() == list(range(5))
             assert da.size == 0 and db.size == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -310,7 +313,7 @@ class TestChunkShardedRange:
                 stop = min(start + 10, len(pairs))
                 base_b = batch.chunk_batch_range(base_b, start, stop)
                 base_s, _ = sharded.chunk_sharded_range(base_s, start, stop)
-                assert base_s == base_b
+                assert base_s.tolist() == base_b.tolist()
 
     def test_more_workers_than_vertices(self):
         # 6 workers, n=4: single-vertex shards, all pairs boundary.
@@ -344,8 +347,6 @@ class TestChunkShardedRange:
             reconcile_labels,
         )
 
-        import numpy as np
-
         n = 20
         pairs = self.make_pairs(n, 30, seed=4)
         i1 = [a for a, _ in pairs]
@@ -358,9 +359,9 @@ class TestChunkShardedRange:
             )
             assert arena.reconcile_rounds > 0  # first (exact) call only
         keys, vals, _ = reconcile_labels(da, db)
-        healed = np.asarray(partial, dtype=np.int64)
+        healed = np.array(partial, dtype=np.int64)
         apply_relabels(healed, keys, vals)
-        assert healed.tolist() == exact
+        assert healed.tolist() == exact.tolist()
 
 
 @settings(max_examples=10, deadline=None)
